@@ -760,6 +760,11 @@ impl TopK {
     pub fn into_vecs(self) -> Vec<Vec<(usize, u32)>> {
         self.entries.chunks(self.per_query.max(1)).map(|c| c.to_vec()).collect()
     }
+
+    /// Consumes the results into the flat per-query lists.
+    pub(crate) fn into_entries(self) -> Vec<(usize, u32)> {
+        self.entries
+    }
 }
 
 /// Bounded k-best insertion for an **ascending-row** scan: `list[..
@@ -1103,8 +1108,8 @@ impl BitMatrix {
         let q_total = batch.len();
         let mut winners = vec![(0usize, 0u32); q_total];
         match pack_for_sweep(self, q_total) {
-            Some(blocked) => winners_dispatch(MemoryRef::Blocked(&blocked), batch, &mut winners),
-            None => winners_dispatch(MemoryRef::Rows(self), batch, &mut winners),
+            Some(blocked) => topk_dispatch(MemoryRef::Blocked(&blocked), batch, 1, &mut winners),
+            None => topk_dispatch(MemoryRef::Rows(self), batch, 1, &mut winners),
         }
         Ok(winners)
     }
@@ -1147,7 +1152,7 @@ impl BitMatrix {
 }
 
 /// Routes one contiguous winners range to the layout-appropriate kernel.
-pub(crate) fn winners_range(
+fn winners_range(
     mem: MemoryRef<'_>,
     batch: &QueryBatch,
     q_offset: usize,
@@ -1294,49 +1299,10 @@ fn winners_blocked(
     }
 }
 
-#[cfg(feature = "rayon")]
-pub(crate) fn winners_dispatch(
-    memory: MemoryRef<'_>,
-    batch: &QueryBatch,
-    winners: &mut [(usize, u32)],
-) {
-    let q = winners.len();
-    let work = q * memory.rows() * memory.words_per_row();
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    if threads < 2 || work < PARALLEL_THRESHOLD || q < 2 * QUERY_TILE {
-        winners_range(memory, batch, 0, winners);
-        return;
-    }
-    let chunks = threads.min(q.div_ceil(QUERY_TILE));
-    let per_chunk = q.div_ceil(chunks).next_multiple_of(QUERY_TILE);
-    let mut jobs: Vec<(usize, &mut [(usize, u32)])> = Vec::with_capacity(chunks);
-    let mut rest = winners;
-    let mut offset = 0usize;
-    while !rest.is_empty() {
-        let take = per_chunk.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        jobs.push((offset, head));
-        rest = tail;
-        offset += take;
-    }
-    std::thread::scope(|scope| {
-        for (q_offset, chunk) in jobs {
-            scope.spawn(move || winners_range(memory, batch, q_offset, chunk));
-        }
-    });
-}
-
-#[cfg(not(feature = "rayon"))]
-pub(crate) fn winners_dispatch(
-    memory: MemoryRef<'_>,
-    batch: &QueryBatch,
-    winners: &mut [(usize, u32)],
-) {
-    winners_range(memory, batch, 0, winners);
-}
-
 /// Routes one contiguous top-k range (`out.len() / k` queries, `k` slots
-/// each) to the layout-appropriate kernel.
+/// each) to the layout-appropriate kernel. `k == 1` takes the fused
+/// winners kernel, whose strict `>` running maximum is the one-slot
+/// k-best without the bounded-list bookkeeping.
 pub(crate) fn topk_range(
     mem: MemoryRef<'_>,
     batch: &QueryBatch,
@@ -1344,6 +1310,9 @@ pub(crate) fn topk_range(
     k: usize,
     out: &mut [(usize, u32)],
 ) {
+    if k == 1 {
+        return winners_range(mem, batch, q_offset, out);
+    }
     match mem {
         MemoryRef::Rows(m) => topk_rows_range(m, batch, q_offset, k, out),
         MemoryRef::Blocked(b) => {

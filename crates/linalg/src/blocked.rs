@@ -271,7 +271,7 @@ impl BlockedBitMatrix {
     pub fn winners_batch(&self, batch: &QueryBatch) -> Result<Vec<(usize, u32)>> {
         self.check_dim(batch, "winners_batch")?;
         let mut winners = vec![(0usize, 0u32); batch.len()];
-        crate::batch::winners_dispatch(MemoryRef::Blocked(self), batch, &mut winners);
+        crate::batch::topk_dispatch(MemoryRef::Blocked(self), batch, 1, &mut winners);
         Ok(winners)
     }
 
@@ -637,7 +637,7 @@ impl SearchMemory {
             });
         }
         let mut winners = vec![(0usize, 0u32); batch.len()];
-        crate::batch::winners_dispatch(self.memory_ref(), batch, &mut winners);
+        crate::batch::topk_dispatch(self.memory_ref(), batch, 1, &mut winners);
         Ok(winners)
     }
 

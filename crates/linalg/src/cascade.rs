@@ -29,12 +29,17 @@
 //! a property of the stored memory (in the paper's hardware they are
 //! known when the array is programmed) and are computed once per search,
 //! amortized over the whole batch; query suffix popcounts cost one pass
-//! over each query's words. A one-stage [`CascadePlan`] degenerates to
-//! the exact search; a plan of `D` one-dimension stages is the paper's
-//! column-by-column evaluation. The `cascade_equivalence` proptest suite
-//! pins winner/score/tie-break identity against
-//! [`crate::SearchMemory::search_batch`] for arbitrary plans on every
-//! reachable kernel backend.
+//! over each query's words. A one-stage [`CascadePlan`] IS the exact
+//! search and runs the fused top-k sweep; a plan of `D` one-dimension
+//! stages is the paper's column-by-column evaluation. The
+//! `cascade_equivalence` proptest suite pins winner/score/tie-break
+//! identity against [`crate::SearchMemory::search_batch`] for arbitrary
+//! plans on every reachable kernel backend.
+//!
+//! Every search is a k-best search: the winners entry points
+//! ([`crate::SearchMemory::search_cascade`], [`BoundCascade::search`],
+//! [`SegmentedCascade::search`]) are its `k == 1` case, pruned against
+//! the running maximum instead of the k-th best score.
 //!
 //! Every search also returns [`CascadeStats`] — per-stage shortlist
 //! sizes and the total number of activated row-dimensions — which is the
@@ -389,7 +394,8 @@ impl CascadePlan {
         let mut best: Option<(CascadePlan, f64)> = None;
         for &w in &widths {
             let plan = CascadePlan::prefix(dim, w).expect("0 < w < dim");
-            let cost = modeled_cost(&plan, cascade_active(m, sub, &plan).stats(), model, unit);
+            let cost =
+                modeled_cost(&plan, m.search_cascade_topk(sub, &plan, 1)?.stats(), model, unit);
             if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                 best = Some((plan, cost));
             }
@@ -404,7 +410,8 @@ impl CascadePlan {
             if mid > e0 && mid < dim {
                 let plan = CascadePlan::from_widths(dim, &[e0, mid - e0, dim - mid])
                     .expect("strictly increasing boundaries");
-                let cost = modeled_cost(&plan, cascade_active(m, sub, &plan).stats(), model, unit);
+                let cost =
+                    modeled_cost(&plan, m.search_cascade_topk(sub, &plan, 1)?.stats(), model, unit);
                 if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                     best = Some((plan, cost));
                 }
@@ -568,9 +575,10 @@ impl CascadeStats {
     }
 }
 
-/// Winners plus activation telemetry of one cascade search. Winners are
-/// bit-identical to [`crate::BitMatrix::winners_batch`] — same rows,
-/// same scores, same low-row tie-break.
+/// Winners plus activation telemetry of one cascade search — the k=1
+/// view of a [`CascadeTopK`]. Winners are bit-identical to
+/// [`crate::BitMatrix::winners_batch`] — same rows, same scores, same
+/// low-row tie-break.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CascadeResults {
     winners: Vec<(usize, u32)>,
@@ -578,6 +586,13 @@ pub struct CascadeResults {
 }
 
 impl CascadeResults {
+    /// The k=1 view of a top-k cascade: each query's one-entry list is
+    /// its winner, so the flat list moves over without a copy.
+    fn from_k1(results: CascadeTopK) -> Self {
+        debug_assert_eq!(results.topk.hits_per_query(), 1);
+        CascadeResults { winners: results.topk.into_entries(), stats: results.stats }
+    }
+
     /// Number of queries answered.
     pub fn len(&self) -> usize {
         self.winners.len()
@@ -741,121 +756,16 @@ fn prefix_matrix(m: &BitMatrix, e0: usize) -> BitMatrix {
     BitMatrix::from_raw_words(m.rows(), e0, data)
 }
 
-/// Stage-0 partial scores on the active backend: the full batched tiled
-/// sweep (SIMD blocked layout, `rayon` chunking) over the prefix
-/// sub-memory, driven by the **full-width** queries — the kernels read
-/// only the memory's word width per row, and the prefix memory's masked
-/// boundary word keeps out-of-stage query bits from contributing. The
-/// all-rows stage therefore runs at exactly the exact search's
-/// per-dimension cost, with no query re-packing.
-fn stage0_scores(m: &BitMatrix, batch: &QueryBatch, e0: usize) -> ScoreMatrix {
-    if e0 == m.cols() {
-        return m.dot_batch(batch).expect("dimensions validated by caller");
-    }
-    let prefix = SearchMemory::new(prefix_matrix(m, e0));
-    let mut out = ScoreMatrix::zeros(batch.len(), m.rows());
-    batch::dot_batch_dispatch(prefix.memory_ref(), batch, &mut out);
-    out
-}
-
-/// The shared pruning skeleton of every cascade continuation, over
-/// queries `[q_offset, q_offset + out.len())`: takes each query's
-/// stage-0 partial scores (in `scores`, one `rows`-wide slice per query,
-/// updated in place), prunes with the Hamming bound, finishes the
-/// survivors stage by stage through `score_stage`, and writes the
-/// winners. This skeleton is the exactness-critical core — the
-/// contiguous and segmented continuations differ **only** in how a
-/// shortlist row collects one stage's dot contribution, which is what
-/// `score_stage(k, global_query, cands, partials)` supplies: it must add
-/// stage `k`'s dot to `partials[r]` for every `r` in `cands` and return
-/// the shortlist's new running maximum. Stage-0 telemetry is accounted
-/// by the caller; this function accumulates stages `1..`.
-#[allow(clippy::too_many_arguments)]
-fn prune_continuation_range<S>(
-    rows: usize,
-    ends: &[usize],
-    row_suffix: &[u32],
-    batch: &QueryBatch,
-    q_offset: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
-    mut score_stage: S,
-) where
-    S: FnMut(usize, usize, &[u32], &mut [u32]) -> u32,
-{
-    let stages = ends.len();
-    debug_assert_eq!(scores.len(), out.len() * rows);
-    let mut q_suffix = vec![0u32; stages];
-    let mut cands: Vec<u32> = Vec::with_capacity(rows);
-    stats.queries += out.len();
-    for (q, slot) in out.iter_mut().enumerate() {
-        let partials = &mut scores[q * rows..(q + 1) * rows];
-        if stages == 1 {
-            // Degenerate plan: stage 0 was the exact search.
-            *slot = batch::argmax_scores(partials);
-            continue;
-        }
-        let mut best = partials.iter().copied().max().expect("non-empty memory");
-        let gq = q_offset + q;
-        let qw = batch.query_words(gq);
-        // The query-side suffix popcounts cost a pass over the query's
-        // words; computed lazily — only for queries whose shortlist the
-        // (free) row-side bound alone fails to collapse. Both bounds are
-        // exact, so pruning with the weaker one first never changes
-        // winners, only how much work survives.
-        let mut q_suffix_ready = false;
-        // Prune after stage `k`: row-side Hamming bound first, then the
-        // full min(q, r) bound when more than one candidate remains.
-        let mut prune =
-            |cands: &mut Vec<u32>, partials: &[u32], k: usize, best: u32, from_all_rows: bool| {
-                let row_suf = &row_suffix[k * rows..(k + 1) * rows];
-                let keep_r = |r: usize| partials[r] as u64 + row_suf[r] as u64 >= best as u64;
-                if from_all_rows {
-                    cands.clear();
-                    cands.extend((0..rows).filter(|&r| keep_r(r)).map(|r| r as u32));
-                } else {
-                    cands.retain(|&r| keep_r(r as usize));
-                }
-                if cands.len() > 1 {
-                    if !q_suffix_ready {
-                        suffix_ones(qw, ends, &mut q_suffix);
-                        q_suffix_ready = true;
-                    }
-                    let qs = q_suffix[k];
-                    cands.retain(|&r| {
-                        let r = r as usize;
-                        partials[r] as u64 + qs.min(row_suf[r]) as u64 >= best as u64
-                    });
-                }
-            };
-        prune(&mut cands, partials, 0, best, true);
-        // Later stages: finish only the shortlist, re-pruning after each.
-        for k in 1..stages {
-            best = score_stage(k, gq, &cands, partials);
-            stats.stage_rows[k] += cands.len() as u64;
-            stats.activated_dims += (cands.len() * (ends[k] - ends[k - 1])) as u64;
-            if k + 1 == stages {
-                cands.retain(|&r| partials[r as usize] == best);
-            } else {
-                prune(&mut cands, partials, k, best, false);
-            }
-        }
-        // After the final stage the suffix is empty, so every survivor
-        // holds the exact maximum score; `cands` stays in ascending row
-        // order, so its first entry is the workspace's low-row tie-break
-        // winner.
-        *slot = (cands[0] as usize, best);
-    }
-}
-
 /// The k-th best of `values(..)`, via a descending scratch buffer of
 /// `k` scores pre-filled with zeros (every score is ≥ 0 and callers
 /// guarantee at least `k` values, so the zeros are always displaced —
 /// or the k-th best really is 0). The manual shift-insert keeps the
 /// per-query cost branch-light: values at or below the current k-th
-/// fall through on one compare.
+/// fall through on one compare. `k == 1` is a plain maximum.
 fn kth_score(values: impl Iterator<Item = u32>, k: usize, buf: &mut Vec<u32>) -> u32 {
+    if k == 1 {
+        return values.max().unwrap_or(0);
+    }
     buf.clear();
     buf.resize(k, 0);
     let b = &mut buf[..k];
@@ -872,19 +782,31 @@ fn kth_score(values: impl Iterator<Item = u32>, k: usize, buf: &mut Vec<u32>) ->
     b[k - 1]
 }
 
-/// The top-k analogue of [`prune_continuation_range`]: the prune
-/// threshold is the k-th best partial score instead of the single best.
-/// That bound stays exact: the k rows holding the k best partials can
-/// only grow, so the final k-th best score is at least the current k-th
-/// best partial — any row whose bound-capped potential falls strictly
-/// below it can neither enter the top-k nor tie into it. Those same k
-/// rows also always survive the prune (their own bound is ≥ their
-/// partial), so the shortlist never drops below `k`, and the k-th best
-/// over the shortlist equals the k-th best over all scored rows.
-/// `score_stage(k, global_query, cands, partials)` adds stage `k`'s dot
-/// to every shortlist row (no running-max contract here). `k` arrives
-/// pre-clamped to the row count; `out` holds `k` slots per query, filled
-/// score-desc then row-asc.
+/// The pruning skeleton of every cascade continuation, over queries
+/// `[q_offset, q_offset + out.len() / k)`: takes each query's stage-0
+/// partial scores (in `scores`, one `rows`-wide slice per query, updated
+/// in place), prunes with the Hamming bound against the query's k-th
+/// best partial score, finishes the survivors stage by stage through
+/// `score_stage`, and writes `k` slots per query, score-desc then
+/// row-asc. This skeleton is the exactness-critical core — the
+/// contiguous and segmented continuations differ **only** in how a
+/// shortlist row collects one stage's dot contribution, which is what
+/// `score_stage(s, global_query, cands, partials)` supplies: it must add
+/// stage `s`'s dot to `partials[r]` for every `r` in `cands` and return
+/// the shortlist's new running maximum.
+///
+/// The k-th-best threshold stays exact: the k rows holding the k best
+/// partials can only grow, so the final k-th best score is at least the
+/// current k-th best partial — any row whose bound-capped potential
+/// falls strictly below it can neither enter the top-k nor tie into it.
+/// Those same k rows also always survive the prune (their own bound is
+/// ≥ their partial), so the shortlist never drops below `k`. With
+/// `k == 1` the threshold is the scorer's running maximum, so winners
+/// pay no extra selection pass. A final stage's row suffixes are zero,
+/// so a one-stage plan needs no special case: the stage-0 prune keeps
+/// exactly the rows scoring at least the k-th best. `k` arrives
+/// pre-clamped to the row count. Stage-0 telemetry is accounted by the
+/// caller; this function accumulates stages `1..`.
 #[allow(clippy::too_many_arguments)]
 fn prune_continuation_topk_range<S>(
     rows: usize,
@@ -898,36 +820,28 @@ fn prune_continuation_topk_range<S>(
     stats: &mut CascadeStats,
     mut score_stage: S,
 ) where
-    S: FnMut(usize, usize, &[u32], &mut [u32]),
+    S: FnMut(usize, usize, &[u32], &mut [u32]) -> u32,
 {
     let stages = ends.len();
     debug_assert!(k >= 1 && k <= rows);
     debug_assert_eq!(scores.len() * k, out.len() * rows);
-    // Bounded-insert selection over an ascending row scan yields the
-    // exact score-desc/row-asc order (strict shifts leave a tying later
-    // row behind the earlier one).
-    fn select(rs: impl Iterator<Item = usize>, partials: &[u32], slots: &mut [(usize, u32)]) {
-        let mut filled = 0usize;
-        for r in rs {
-            topk_insert(slots, &mut filled, r, partials[r]);
-        }
-        debug_assert_eq!(filled, slots.len());
-    }
     let mut q_suffix = vec![0u32; stages];
     let mut cands: Vec<u32> = Vec::with_capacity(rows);
     let mut kbuf: Vec<u32> = Vec::with_capacity(k);
     stats.queries += out.len() / k;
     for (q, slots) in out.chunks_exact_mut(k).enumerate() {
         let partials = &mut scores[q * rows..(q + 1) * rows];
-        if stages == 1 {
-            // Degenerate plan: stage 0 was the exact search.
-            select(0..rows, partials, slots);
-            continue;
-        }
         let mut kth = kth_score(partials.iter().copied(), k, &mut kbuf);
         let gq = q_offset + q;
         let qw = batch.query_words(gq);
+        // The query-side suffix popcounts cost a pass over the query's
+        // words; computed lazily — only for queries whose shortlist the
+        // (free) row-side bound alone fails to collapse. Both bounds are
+        // exact, so pruning with the weaker one first never changes
+        // results, only how much work survives.
         let mut q_suffix_ready = false;
+        // Prune after stage `s`: row-side Hamming bound first, then the
+        // full min(q, r) bound when more than `k` candidates remain.
         let mut prune =
             |cands: &mut Vec<u32>, partials: &[u32], s: usize, kth: u32, from_all_rows: bool| {
                 let row_suf = &row_suffix[s * rows..(s + 1) * rows];
@@ -951,80 +865,39 @@ fn prune_continuation_topk_range<S>(
                 }
             };
         prune(&mut cands, partials, 0, kth, true);
+        // Later stages: finish only the shortlist, re-pruning after each.
         for s in 1..stages {
-            score_stage(s, gq, &cands, partials);
+            let max = score_stage(s, gq, &cands, partials);
             stats.stage_rows[s] += cands.len() as u64;
             stats.activated_dims += (cands.len() * (ends[s] - ends[s - 1])) as u64;
-            if s + 1 == stages {
-                break;
+            if s + 1 < stages {
+                kth = if k == 1 {
+                    max
+                } else {
+                    kth_score(cands.iter().map(|&r| partials[r as usize]), k, &mut kbuf)
+                };
+                prune(&mut cands, partials, s, kth, false);
             }
-            kth = kth_score(cands.iter().map(|&r| partials[r as usize]), k, &mut kbuf);
-            prune(&mut cands, partials, s, kth, false);
         }
         // After the final stage every survivor holds its exact score and
         // the shortlist provably contains the true top-k rows; `cands`
-        // stays in ascending row order, so the bounded insert reproduces
-        // the workspace tie-break.
-        select(cands.iter().map(|&r| r as usize), partials, slots);
+        // stays in ascending row order, so the bounded insert (strict
+        // shifts leave a tying later row behind the earlier one)
+        // reproduces the workspace's low-row tie-break.
+        let mut filled = 0usize;
+        for &r in &cands {
+            topk_insert(slots, &mut filled, r as usize, partials[r as usize]);
+        }
+        debug_assert_eq!(filled, k);
     }
 }
 
-/// Contiguous-memory continuation: the shared pruning skeleton with a
-/// row-major stage scorer. `multi` is the multi-row word-slice popcount
-/// kernel (the active-backend dispatcher in production; an explicit
-/// backend's table entry under test): one call per (query, stage) scores
-/// the whole shortlist, so the SIMD path shares each staged-query load
-/// across rows instead of re-streaming it per flat-kernel call.
-#[allow(clippy::too_many_arguments)]
-fn continuation_range<M: Fn(&[u64], &[&[u64]], &mut [u32])>(
-    m: &BitMatrix,
-    batch: &QueryBatch,
-    plan: &CascadePlan,
-    row_suffix: &[u32],
-    q_offset: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
-    multi: M,
-) {
-    let ends = plan.ends();
-    let mut qmasked: Vec<u64> = Vec::new();
-    let mut row_refs: Vec<&[u64]> = Vec::new();
-    let mut acc: Vec<u32> = Vec::new();
-    prune_continuation_range(
-        m.rows(),
-        ends,
-        row_suffix,
-        batch,
-        q_offset,
-        scores,
-        out,
-        stats,
-        |k, gq, cands, partials| {
-            let (lo, hi) = (ends[k - 1], ends[k]);
-            let qs = stage_query(batch.query_words(gq), lo, hi, m.cols(), &mut qmasked);
-            let (wlo, whi) = (lo / 64, word_end(hi));
-            row_refs.clear();
-            row_refs.extend(cands.iter().map(|&r| &m.row_words_pub(r as usize)[wlo..whi]));
-            acc.clear();
-            acc.resize(cands.len(), 0);
-            multi(qs, &row_refs, &mut acc);
-            let mut best = 0;
-            for (&r, &d) in cands.iter().zip(&acc) {
-                let r = r as usize;
-                let s = partials[r] + d;
-                partials[r] = s;
-                if s > best {
-                    best = s;
-                }
-            }
-            best
-        },
-    );
-}
-
-/// Contiguous-memory top-k continuation: [`prune_continuation_topk_range`]
-/// with the same multi-row stage scorer as [`continuation_range`].
+/// Contiguous-memory continuation: the pruning skeleton with a row-major
+/// stage scorer. `multi` is the multi-row word-slice popcount kernel (the
+/// active-backend dispatcher in production; an explicit backend's table
+/// entry under test): one call per (query, stage) scores the whole
+/// shortlist, so the SIMD path shares each staged-query load across rows
+/// instead of re-streaming it per flat-kernel call.
 #[allow(clippy::too_many_arguments)]
 fn continuation_topk_range<M: Fn(&[u64], &[&[u64]], &mut [u32])>(
     m: &BitMatrix,
@@ -1061,11 +934,22 @@ fn continuation_topk_range<M: Fn(&[u64], &[&[u64]], &mut [u32])>(
             acc.clear();
             acc.resize(cands.len(), 0);
             multi(qs, &row_refs, &mut acc);
-            for (&r, &d) in cands.iter().zip(&acc) {
-                partials[r as usize] += d;
-            }
+            add_stage(cands, &acc, partials)
         },
     );
+}
+
+/// Adds one stage's per-candidate dots (`acc`, parallel to `cands`) into
+/// the partial scores and returns the shortlist's new running maximum —
+/// the threshold a `k == 1` continuation prunes against.
+fn add_stage(cands: &[u32], acc: &[u32], partials: &mut [u32]) -> u32 {
+    let mut max = 0;
+    for (&r, &d) in cands.iter().zip(acc) {
+        let s = partials[r as usize] + d;
+        partials[r as usize] = s;
+        max = max.max(s);
+    }
+    max
 }
 
 /// Row suffix popcounts at every stage boundary (`row_suffix[k * rows +
@@ -1076,166 +960,137 @@ fn row_suffix_table(m: &BitMatrix, ends: &[usize]) -> Vec<u32> {
     let rows = m.rows();
     let stages = ends.len();
     let mut table = vec![0u32; stages * rows];
-    if stages > 1 {
-        let mut scratch = vec![0u32; stages];
-        for r in 0..rows {
-            suffix_ones(m.row_words_pub(r), ends, &mut scratch);
-            for (k, &s) in scratch.iter().enumerate() {
-                table[k * rows + r] = s;
-            }
+    let mut scratch = vec![0u32; stages];
+    for r in 0..rows {
+        suffix_ones(m.row_words_pub(r), ends, &mut scratch);
+        for (k, &s) in scratch.iter().enumerate() {
+            table[k * rows + r] = s;
         }
     }
     table
 }
 
-/// Pruning continuation + telemetry over precomputed stage-0 scores —
-/// the shared tail of every active-backend entry point.
-fn cascade_run(
-    m: &BitMatrix,
-    batch: &QueryBatch,
+/// The run tail of every multi-stage search: stage-0 telemetry over the
+/// precomputed stage-0 `scores` (one row per query), then
+/// `continuation(per_query, q_offset, scores, out, stats)` over every
+/// query, thread-chunked under the `rayon` feature, packed into k-best
+/// lists. `k` is the caller's request; lists are clamped to the row
+/// count.
+fn cascade_run_topk<F>(
     plan: &CascadePlan,
     mut scores: ScoreMatrix,
-    row_suffix: &[u32],
-) -> CascadeResults {
-    let rows = m.rows();
-    let q_total = batch.len();
-    let mut winners = vec![(0usize, 0u32); q_total];
-    let mut stats = CascadeStats::zeroed(rows, m.cols(), plan.stages());
-    stats.stage_rows[0] = (q_total * rows) as u64;
-    stats.activated_dims = (q_total * rows * plan.ends()[0]) as u64;
-    chunked_continuation(
-        rows,
-        m.cols(),
-        m.words_per_row_pub(),
-        plan.stages(),
-        1,
-        scores.data_mut(),
-        &mut winners,
-        &mut stats,
-        |q_offset, score_chunk, winner_chunk, local| {
-            continuation_range(
-                m,
-                batch,
-                plan,
-                row_suffix,
-                q_offset,
-                score_chunk,
-                winner_chunk,
-                local,
-                multi_dot_words,
-            )
-        },
-    );
-    CascadeResults { winners, stats }
-}
-
-/// Top-k pruning continuation + telemetry over precomputed stage-0
-/// scores — the shared tail of every top-k entry point. `k` is the
-/// caller's request; lists are clamped to the row count.
-fn cascade_run_topk(
-    m: &BitMatrix,
-    batch: &QueryBatch,
-    plan: &CascadePlan,
-    mut scores: ScoreMatrix,
-    row_suffix: &[u32],
     k: usize,
-) -> CascadeTopK {
-    let rows = m.rows();
-    let q_total = batch.len();
+    continuation: F,
+) -> CascadeTopK
+where
+    F: Fn(usize, usize, &mut [u32], &mut [(usize, u32)], &mut CascadeStats) + Sync,
+{
+    let (q_total, rows) = scores.shape();
     let per_query = k.min(rows);
     let mut entries = vec![(0usize, 0u32); q_total * per_query];
-    let mut stats = CascadeStats::zeroed(rows, m.cols(), plan.stages());
+    let mut stats = CascadeStats::zeroed(rows, plan.dim(), plan.stages());
     stats.stage_rows[0] = (q_total * rows) as u64;
     stats.activated_dims = (q_total * rows * plan.ends()[0]) as u64;
     chunked_continuation(
-        rows,
-        m.cols(),
-        m.words_per_row_pub(),
-        plan.stages(),
         per_query,
         scores.data_mut(),
         &mut entries,
         &mut stats,
         |q_offset, score_chunk, out_chunk, local| {
-            continuation_topk_range(
-                m,
-                batch,
-                plan,
-                row_suffix,
-                per_query,
-                q_offset,
-                score_chunk,
-                out_chunk,
-                local,
-                multi_dot_words,
-            )
+            continuation(per_query, q_offset, score_chunk, out_chunk, local)
         },
     );
     CascadeTopK { topk: TopK::from_flat(q_total, k, per_query, entries), stats }
 }
 
-/// Full cascade on the active backend: tiled stage-0 sweep, then the
-/// pruning continuation (thread-chunked under the `rayon` feature). The
-/// prefix sub-memory and row-suffix table are rebuilt per call; batch
-/// after batch against one memory should go through
-/// [`SearchMemory::search_cascade`] (which caches the derived bound form
-/// per plan) or an explicit [`BoundCascade`] handle.
-fn cascade_active(m: &BitMatrix, batch: &QueryBatch, plan: &CascadePlan) -> CascadeResults {
-    let scores = stage0_scores(m, batch, plan.ends()[0]);
-    let row_suffix = row_suffix_table(m, plan.ends());
-    cascade_run(m, batch, plan, scores, &row_suffix)
+/// A one-stage plan IS the exact search: the fused top-k sweep answers
+/// it (`k == 1` runs the fused winners kernel), and its telemetry —
+/// every row activated across the full width — is computed, not counted.
+fn exact_cascade(topk: TopK, rows: usize, dim: usize) -> CascadeTopK {
+    let queries = topk.len();
+    let scored = (queries * rows) as u64;
+    let stats = CascadeStats {
+        queries,
+        rows,
+        dim,
+        stage_rows: vec![scored],
+        activated_dims: scored * dim as u64,
+    };
+    CascadeTopK { topk, stats }
 }
 
-/// Top-k analogue of [`cascade_active`]: per-call derivation, then the
-/// k-th-score pruning continuation.
-fn cascade_active_topk(
-    m: &BitMatrix,
-    batch: &QueryBatch,
-    plan: &CascadePlan,
-    k: usize,
-) -> CascadeTopK {
-    let scores = stage0_scores(m, batch, plan.ends()[0]);
-    let row_suffix = row_suffix_table(m, plan.ends());
-    cascade_run_topk(m, batch, plan, scores, &row_suffix, k)
-}
-
-/// The per-(plan, memory) derived artifacts of a cascade: the stage-0
-/// prefix sub-memory (pre-packed for the active SIMD backend) and the
-/// row-suffix table. Deriving one costs a pass over the memory; every
-/// cached search reuses it for free.
+/// The per-(plan, memory) derived artifacts of a multi-stage cascade:
+/// the stage-0 prefix sub-memory (pre-packed for the active SIMD
+/// backend) and the row-suffix table. Deriving one costs a pass over the
+/// memory; every cached search reuses it for free.
 #[derive(Debug)]
 pub(crate) struct BoundForm {
     /// Stage boundaries this form was derived for (the cache key).
     ends: Vec<usize>,
-    /// Boundary-masked stage-0 sub-memory; `None` when stage 0 covers the
-    /// full width (the bound memory's own packed form serves directly).
-    prefix: Option<SearchMemory>,
+    /// Boundary-masked stage-0 sub-memory.
+    prefix: SearchMemory,
     row_suffix: Vec<u32>,
 }
 
 impl BoundForm {
-    fn derive(m: &BitMatrix, plan: &CascadePlan) -> Self {
-        let e0 = plan.ends()[0];
-        let prefix = (e0 != m.cols()).then(|| SearchMemory::new(prefix_matrix(m, e0)));
-        BoundForm {
+    /// Derives `plan`'s artifacts over `m` — `None` for a one-stage plan,
+    /// which the fused sweep answers with nothing derived.
+    fn derive(m: &BitMatrix, plan: &CascadePlan) -> Option<Self> {
+        (plan.stages() > 1).then(|| BoundForm {
             ends: plan.ends().to_vec(),
-            prefix,
+            prefix: SearchMemory::new(prefix_matrix(m, plan.ends()[0])),
             row_suffix: row_suffix_table(m, plan.ends()),
-        }
+        })
     }
 
-    /// Stage-0 partial scores through the pre-derived prefix sub-memory
-    /// (or the memory's own packed form for a full-width stage 0).
-    fn stage0_scores(&self, memory: &SearchMemory, batch: &QueryBatch) -> ScoreMatrix {
-        match &self.prefix {
-            Some(prefix) => {
-                let mut out = ScoreMatrix::zeros(batch.len(), memory.rows());
-                batch::dot_batch_dispatch(prefix.memory_ref(), batch, &mut out);
-                out
-            }
-            None => memory.dot_batch(batch).expect("dimensions validated by caller"),
-        }
+    /// The cascade over `m` on the active backend. Stage 0 is the full
+    /// batched tiled sweep (SIMD blocked layout, `rayon` chunking) over
+    /// the prefix sub-memory, driven by the **full-width** queries — the
+    /// kernels read only the memory's word width per row, and the prefix
+    /// memory's masked boundary word keeps out-of-stage query bits from
+    /// contributing — so the all-rows stage runs at exactly the exact
+    /// search's per-dimension cost, with no query re-packing. The pruning
+    /// continuation finishes the survivors.
+    fn search(
+        &self,
+        m: &BitMatrix,
+        batch: &QueryBatch,
+        plan: &CascadePlan,
+        k: usize,
+    ) -> CascadeTopK {
+        let mut scores = ScoreMatrix::zeros(batch.len(), m.rows());
+        batch::dot_batch_dispatch(self.prefix.memory_ref(), batch, &mut scores);
+        cascade_run_topk(plan, scores, k, |per_query, q_offset, scores, out, stats| {
+            continuation_topk_range(
+                m,
+                batch,
+                plan,
+                &self.row_suffix,
+                per_query,
+                q_offset,
+                scores,
+                out,
+                stats,
+                multi_dot_words,
+            )
+        })
     }
+}
+
+/// Runs `plan` over a pre-packed memory with its bound form, if any: a
+/// one-stage plan (no form) takes the fused sweep over the memory's own
+/// blocked mirror.
+fn bound_search(
+    memory: &SearchMemory,
+    plan: &CascadePlan,
+    form: Option<&BoundForm>,
+    batch: &QueryBatch,
+    k: usize,
+) -> Result<CascadeTopK> {
+    Ok(match form {
+        Some(form) => form.search(memory.matrix(), batch, plan, k),
+        None => exact_cascade(memory.topk_batch(batch, k)?, memory.rows(), memory.cols()),
+    })
 }
 
 /// How many distinct plans a memory caches bound forms for. Repeated-batch
@@ -1277,29 +1132,34 @@ impl CascadeCache {
     }
 
     /// Returns the cached form for `plan`, deriving and inserting it on a
-    /// miss (evicting the least-recently-used entry at capacity).
+    /// miss (evicting the least-recently-used entry at capacity); `None`
+    /// for a one-stage plan, which derives nothing and is never cached.
     /// Derivation runs **outside** the lock — an O(rows × dim) pass must
     /// not serialize concurrent searchers' cache hits — so two threads
     /// missing the same plan may both derive; the loser adopts the
     /// winner's already-inserted form.
-    pub(crate) fn get_or_derive(&self, m: &BitMatrix, plan: &CascadePlan) -> Arc<BoundForm> {
+    pub(crate) fn get_or_derive(
+        &self,
+        m: &BitMatrix,
+        plan: &CascadePlan,
+    ) -> Option<Arc<BoundForm>> {
         if let Some(form) = self.touch(plan) {
-            return form;
+            return Some(form);
         }
-        let form = Arc::new(BoundForm::derive(m, plan));
+        let form = Arc::new(BoundForm::derive(m, plan)?);
         let mut entries = self.lock();
         if let Some(pos) = entries.iter().position(|f| f.ends == plan.ends) {
             // Lost the derivation race: keep the inserted form (callers
             // holding it stay coherent with the cache) and drop ours.
             let existing = entries.remove(pos);
             entries.push(Arc::clone(&existing));
-            return existing;
+            return Some(existing);
         }
         if entries.len() == BOUND_CACHE_CAP {
             entries.remove(0);
         }
         entries.push(Arc::clone(&form));
-        form
+        Some(form)
     }
 
     /// Looks up `plan`'s form, refreshing its LRU position on a hit.
@@ -1346,7 +1206,8 @@ impl std::fmt::Debug for CascadeCache {
 pub struct BoundCascade {
     memory: Arc<SearchMemory>,
     plan: CascadePlan,
-    form: Arc<BoundForm>,
+    /// `None` for a one-stage plan (the fused sweep needs no form).
+    form: Option<Arc<BoundForm>>,
 }
 
 impl BoundCascade {
@@ -1370,14 +1231,7 @@ impl BoundCascade {
                 found: plan.dim(),
             });
         }
-        // One-stage plans derive nothing worth caching (no prefix
-        // sub-memory, an all-zero suffix table); keep them out of the
-        // memory's LRU slots, mirroring `SearchMemory::search_cascade`.
-        let form = if plan.stages() == 1 {
-            Arc::new(BoundForm::derive(m, &plan))
-        } else {
-            memory.cascade_cache().get_or_derive(m, &plan)
-        };
+        let form = memory.cascade_cache().get_or_derive(m, &plan);
         Ok(BoundCascade { memory, plan, form })
     }
 
@@ -1393,22 +1247,14 @@ impl BoundCascade {
 
     /// Cascade search over the bound memory — bit-identical winners to
     /// [`SearchMemory::winners_batch`], with no per-call re-derivation.
+    /// The k=1 view of [`BoundCascade::search_topk`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] when the batch
     /// dimensionality differs from the memory's.
     pub fn search(&self, batch: &QueryBatch) -> Result<CascadeResults> {
-        let m = self.memory.matrix();
-        if batch.dim() != m.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "BoundCascade::search",
-                expected: m.cols(),
-                found: batch.dim(),
-            });
-        }
-        let scores = self.form.stage0_scores(&self.memory, batch);
-        Ok(cascade_run(m, batch, &self.plan, scores, &self.form.row_suffix))
+        self.search_topk(batch, 1).map(CascadeResults::from_k1)
     }
 
     /// Top-k cascade search over the bound memory — bit-identical lists
@@ -1432,8 +1278,7 @@ impl BoundCascade {
                 found: batch.dim(),
             });
         }
-        let scores = self.form.stage0_scores(&self.memory, batch);
-        Ok(cascade_run_topk(m, batch, &self.plan, scores, &self.form.row_suffix, k))
+        bound_search(&self.memory, &self.plan, self.form.as_deref(), batch, k)
     }
 }
 
@@ -1441,19 +1286,14 @@ impl BoundCascade {
 /// threads under the `rayon` feature: each chunk owns disjoint score and
 /// output slices plus its own telemetry, merged after the join —
 /// bit-identical to the serial order because queries are independent.
-/// `out` holds `slots_per_query` entries per query (1 for winners, k for
-/// top-k lists); `run(q_offset, scores, out, stats)` must process the
-/// chunk's queries exactly as the serial call would. Stage-0 counters are
-/// set wholesale by the caller and stay 0 in every chunk-local
-/// (continuations never write stage 0), so the general merge adds exactly
-/// the later stages.
+/// `out` holds `slots_per_query` entries per query; `run(q_offset,
+/// scores, out, stats)` must process the chunk's queries exactly as the
+/// serial call would. The memory shape comes from `stats`. Stage-0
+/// counters are set wholesale by the caller and stay 0 in every
+/// chunk-local (continuations never write stage 0), so the general merge
+/// adds exactly the later stages.
 #[cfg(feature = "rayon")]
-#[allow(clippy::too_many_arguments)]
 fn chunked_continuation<F>(
-    rows: usize,
-    dim: usize,
-    words_per_row: usize,
-    stages: usize,
     slots_per_query: usize,
     scores: &mut [u32],
     out: &mut [(usize, u32)],
@@ -1462,8 +1302,9 @@ fn chunked_continuation<F>(
 ) where
     F: Fn(usize, &mut [u32], &mut [(usize, u32)], &mut CascadeStats) + Sync,
 {
+    let (rows, dim, stages) = (stats.rows, stats.dim, stats.stage_rows.len());
     let q = out.len() / slots_per_query;
-    let work = q * rows * words_per_row;
+    let work = q * rows * dim.div_ceil(64);
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     if threads < 2 || work < batch::PARALLEL_THRESHOLD || q < 2 * batch::QUERY_TILE {
         run(0, scores, out, stats);
@@ -1506,12 +1347,7 @@ fn chunked_continuation<F>(
 
 /// Serial fallback of the chunked continuation (no `rayon` feature).
 #[cfg(not(feature = "rayon"))]
-#[allow(clippy::too_many_arguments)]
 fn chunked_continuation<F>(
-    _rows: usize,
-    _dim: usize,
-    _words_per_row: usize,
-    _stages: usize,
     _slots_per_query: usize,
     scores: &mut [u32],
     out: &mut [(usize, u32)],
@@ -1597,23 +1433,21 @@ impl SegmentedCascade {
         let stages = plan.stages();
         let ends = plan.ends();
         let mut row_suffix = vec![0u32; stages * rows];
-        if stages > 1 {
-            // Suffix-accumulate whole partitions from the back: segment
-            // popcounts are a property of the programmed layout, computed
-            // once here and reused by every search.
-            let mut acc = vec![0u32; rows];
-            let mut next_part = parts.len();
-            for k in (0..stages).rev() {
-                let boundary_seg = ends[k] / seg_len;
-                while next_part > boundary_seg {
-                    next_part -= 1;
-                    let m = parts[next_part].matrix();
-                    for (r, slot) in acc.iter_mut().enumerate() {
-                        *slot += m.row_words_pub(r).iter().map(|w| w.count_ones()).sum::<u32>();
-                    }
+        // Suffix-accumulate whole partitions from the back: segment
+        // popcounts are a property of the programmed layout, computed
+        // once here and reused by every search.
+        let mut acc = vec![0u32; rows];
+        let mut next_part = parts.len();
+        for k in (0..stages).rev() {
+            let boundary_seg = ends[k] / seg_len;
+            while next_part > boundary_seg {
+                next_part -= 1;
+                let m = parts[next_part].matrix();
+                for (r, slot) in acc.iter_mut().enumerate() {
+                    *slot += m.row_words_pub(r).iter().map(|w| w.count_ones()).sum::<u32>();
                 }
-                row_suffix[k * rows..(k + 1) * rows].copy_from_slice(&acc);
             }
+            row_suffix[k * rows..(k + 1) * rows].copy_from_slice(&acc);
         }
         Ok(SegmentedCascade {
             plan: plan.clone(),
@@ -1631,7 +1465,8 @@ impl SegmentedCascade {
 
     /// Cascade search over the segment memories the handle was derived
     /// from. Winners are bit-identical to summing every partition's
-    /// exact scores and taking the low-row argmax.
+    /// exact scores and taking the low-row argmax. The k=1 view of
+    /// [`SegmentedCascade::search_topk`].
     ///
     /// # Errors
     ///
@@ -1639,40 +1474,7 @@ impl SegmentedCascade {
     /// with the bound layout or the batch dimensionality differs from
     /// the plan's, and [`LinalgError::Empty`] for empty partitions.
     pub fn search(&self, parts: &[SearchMemory], batch: &QueryBatch) -> Result<CascadeResults> {
-        let (mut scores, seg_batches) = self.stage0_setup(parts, batch)?;
-        let (rows, seg_len) = (self.rows, self.seg_len);
-        let q = batch.len();
-        let ends = self.plan.ends();
-        let stages = ends.len();
-        let mut winners = vec![(0usize, 0u32); q];
-        let mut stats = CascadeStats::zeroed(rows, self.plan.dim(), stages);
-        stats.stage_rows[0] = (q * rows) as u64;
-        stats.activated_dims = (q * rows * ends[0]) as u64;
-        chunked_continuation(
-            rows,
-            self.plan.dim(),
-            self.plan.dim().div_ceil(64),
-            stages,
-            1,
-            scores.data_mut(),
-            &mut winners,
-            &mut stats,
-            |q_offset, score_chunk, winner_chunk, local| {
-                segmented_continuation_range(
-                    parts,
-                    &seg_batches,
-                    batch,
-                    seg_len,
-                    ends,
-                    &self.row_suffix,
-                    q_offset,
-                    score_chunk,
-                    winner_chunk,
-                    local,
-                )
-            },
-        );
-        Ok(CascadeResults { winners, stats })
+        self.search_topk(parts, batch, 1).map(CascadeResults::from_k1)
     }
 
     /// Top-k cascade search over the segment memories — per-query k-best
@@ -1693,48 +1495,27 @@ impl SegmentedCascade {
         if k == 0 {
             return Err(LinalgError::Empty { op: "SegmentedCascade::search_topk" });
         }
-        let (mut scores, seg_batches) = self.stage0_setup(parts, batch)?;
-        let (rows, seg_len) = (self.rows, self.seg_len);
-        let q = batch.len();
-        let ends = self.plan.ends();
-        let stages = ends.len();
-        let per_query = k.min(rows);
-        let mut entries = vec![(0usize, 0u32); q * per_query];
-        let mut stats = CascadeStats::zeroed(rows, self.plan.dim(), stages);
-        stats.stage_rows[0] = (q * rows) as u64;
-        stats.activated_dims = (q * rows * ends[0]) as u64;
-        chunked_continuation(
-            rows,
-            self.plan.dim(),
-            self.plan.dim().div_ceil(64),
-            stages,
-            per_query,
-            scores.data_mut(),
-            &mut entries,
-            &mut stats,
-            |q_offset, score_chunk, out_chunk, local| {
-                segmented_continuation_topk_range(
-                    parts,
-                    &seg_batches,
-                    batch,
-                    seg_len,
-                    ends,
-                    &self.row_suffix,
-                    per_query,
-                    q_offset,
-                    score_chunk,
-                    out_chunk,
-                    local,
-                )
-            },
-        );
-        Ok(CascadeTopK { topk: TopK::from_flat(q, k, per_query, entries), stats })
+        let (scores, seg_batches) = self.stage0_setup(parts, batch)?;
+        Ok(cascade_run_topk(&self.plan, scores, k, |per_query, q_offset, scores, out, stats| {
+            segmented_continuation_topk_range(
+                parts,
+                &seg_batches,
+                batch,
+                self.seg_len,
+                self.plan.ends(),
+                &self.row_suffix,
+                per_query,
+                q_offset,
+                scores,
+                out,
+                stats,
+            )
+        }))
     }
 
-    /// The shared head of [`SegmentedCascade::search`] and
-    /// [`SegmentedCascade::search_topk`]: validation, staleness
-    /// fingerprint, per-partition query segment batches, and the stage-0
-    /// accumulated sweep.
+    /// The head of [`SegmentedCascade::search_topk`]: validation,
+    /// staleness fingerprint, per-partition query segment batches, and
+    /// the stage-0 accumulated sweep.
     fn stage0_setup(
         &self,
         parts: &[SearchMemory],
@@ -1859,65 +1640,11 @@ fn check_segments(parts: &[SearchMemory], plan: &CascadePlan) -> Result<(usize, 
     Ok((rows, seg_len))
 }
 
-/// The segmented analogue of [`continuation_range`]: the same shared
-/// pruning skeleton ([`prune_continuation_range`] — row suffixes from
-/// the pre-derived table, query suffixes lazily from the full-width
-/// query words, which stage boundaries slice contiguously), with a stage
-/// scorer that collects each shortlist row's contribution partition by
-/// partition.
-#[allow(clippy::too_many_arguments)]
-fn segmented_continuation_range(
-    parts: &[SearchMemory],
-    seg_batches: &[QueryBatch],
-    batch: &QueryBatch,
-    seg_len: usize,
-    ends: &[usize],
-    row_suffix: &[u32],
-    q_offset: usize,
-    scores: &mut [u32],
-    out: &mut [(usize, u32)],
-    stats: &mut CascadeStats,
-) {
-    let mut row_refs: Vec<&[u64]> = Vec::new();
-    let mut acc: Vec<u32> = Vec::new();
-    prune_continuation_range(
-        parts[0].rows(),
-        ends,
-        row_suffix,
-        batch,
-        q_offset,
-        scores,
-        out,
-        stats,
-        |k, gq, cands, partials| {
-            let (lo, hi) = (ends[k - 1], ends[k]);
-            let (p_lo, p_hi) = (lo / seg_len, hi / seg_len);
-            acc.clear();
-            acc.resize(cands.len(), 0);
-            for (p, part) in parts.iter().enumerate().take(p_hi).skip(p_lo) {
-                let qs: &[u64] = seg_batches[p].query_words(gq);
-                let pm = part.matrix();
-                row_refs.clear();
-                row_refs.extend(cands.iter().map(|&r| pm.row_words_pub(r as usize)));
-                multi_dot_words(qs, &row_refs, &mut acc);
-            }
-            let mut best = 0;
-            for (&r, &d) in cands.iter().zip(&acc) {
-                let r = r as usize;
-                let s = partials[r] + d;
-                partials[r] = s;
-                if s > best {
-                    best = s;
-                }
-            }
-            best
-        },
-    );
-}
-
-/// The segmented analogue of [`continuation_topk_range`]: the top-k
-/// pruning skeleton with the partition-by-partition stage scorer of
-/// [`segmented_continuation_range`].
+/// The segmented analogue of [`continuation_topk_range`]: the same
+/// pruning skeleton (row suffixes from the pre-derived table, query
+/// suffixes lazily from the full-width query words, which stage
+/// boundaries slice contiguously), with a stage scorer that collects
+/// each shortlist row's contribution partition by partition.
 #[allow(clippy::too_many_arguments)]
 fn segmented_continuation_topk_range(
     parts: &[SearchMemory],
@@ -1956,14 +1683,15 @@ fn segmented_continuation_topk_range(
                 row_refs.extend(cands.iter().map(|&r| pm.row_words_pub(r as usize)));
                 multi_dot_words(qs, &row_refs, &mut acc);
             }
-            for (&r, &d) in cands.iter().zip(&acc) {
-                partials[r as usize] += d;
-            }
+            add_stage(cands, &acc, partials)
         },
     );
 }
 
-fn check_cascade(m: &BitMatrix, batch: &QueryBatch, plan: &CascadePlan) -> Result<()> {
+fn check_cascade(m: &BitMatrix, batch: &QueryBatch, plan: &CascadePlan, k: usize) -> Result<()> {
+    if k == 0 {
+        return Err(LinalgError::Empty { op: "search_cascade_topk" });
+    }
     if m.rows() == 0 {
         return Err(LinalgError::Empty { op: "search_cascade" });
     }
@@ -1990,7 +1718,8 @@ impl BitMatrix {
     /// win (Hamming bound), and finishes only the survivors. Winners
     /// (rows, scores, and the low-row tie-break) are bit-identical to
     /// [`BitMatrix::winners_batch`]; the returned [`CascadeStats`]
-    /// reports how many row-dimensions were activated.
+    /// reports how many row-dimensions were activated. The k=1 view of
+    /// [`BitMatrix::search_cascade_topk`].
     ///
     /// # Errors
     ///
@@ -1998,14 +1727,17 @@ impl BitMatrix {
     /// dimensionality differs from `cols`, and [`LinalgError::Empty`]
     /// for a memory with no rows.
     pub fn search_cascade(&self, batch: &QueryBatch, plan: &CascadePlan) -> Result<CascadeResults> {
-        check_cascade(self, batch, plan)?;
-        Ok(cascade_active(self, batch, plan))
+        self.search_cascade_topk(batch, plan, 1).map(CascadeResults::from_k1)
     }
 
     /// Top-k cascade search: per-query k-best `(row, score)` lists
     /// bit-identical to [`BitMatrix::topk_batch`] (score desc, row asc),
-    /// pruned against each query's running k-th-best score instead of
-    /// the single best. `k` is clamped to the row count.
+    /// pruned against each query's running k-th-best score. `k` is
+    /// clamped to the row count. A one-stage plan runs the fused sweep.
+    /// The prefix sub-memory and row-suffix table are rebuilt per call;
+    /// batch after batch against one memory should go through
+    /// [`SearchMemory::search_cascade_topk`] (which caches the derived
+    /// bound form per plan) or an explicit [`BoundCascade`] handle.
     ///
     /// # Errors
     ///
@@ -2017,20 +1749,31 @@ impl BitMatrix {
         plan: &CascadePlan,
         k: usize,
     ) -> Result<CascadeTopK> {
-        if k == 0 {
-            return Err(LinalgError::Empty { op: "search_cascade_topk" });
-        }
-        check_cascade(self, batch, plan)?;
-        Ok(cascade_active_topk(self, batch, plan, k))
+        check_cascade(self, batch, plan, k)?;
+        Ok(match BoundForm::derive(self, plan) {
+            Some(form) => form.search(self, batch, plan, k),
+            None => exact_cascade(self.topk_batch(batch, k)?, self.rows(), self.cols()),
+        })
     }
 }
 
 impl SearchMemory {
-    /// [`BitMatrix::search_cascade`] over this memory's rows. Stage 0
-    /// runs the tiled batched sweep over the (boundary-masked) dimension
-    /// prefix of every row; the shortlist stages use row-major candidate
-    /// access, so wide rows still ride the active SIMD backend through
-    /// the flat word kernels.
+    /// [`BitMatrix::search_cascade`] over this memory's rows — the k=1
+    /// view of [`SearchMemory::search_cascade_topk`].
+    ///
+    /// # Errors
+    ///
+    /// As [`BitMatrix::search_cascade`].
+    pub fn search_cascade(&self, batch: &QueryBatch, plan: &CascadePlan) -> Result<CascadeResults> {
+        self.search_cascade_topk(batch, plan, 1).map(CascadeResults::from_k1)
+    }
+
+    /// [`BitMatrix::search_cascade_topk`] over this memory's rows. Stage
+    /// 0 runs the tiled batched sweep over the (boundary-masked)
+    /// dimension prefix of every row; the shortlist stages use row-major
+    /// candidate access, so wide rows still ride the active SIMD backend
+    /// through the multi-row word kernel. A one-stage plan runs the fused
+    /// sweep over the pre-packed mirror.
     ///
     /// The plan's derived artifacts (prefix sub-memory, row-suffix
     /// table) are cached on this memory keyed by the plan's stage
@@ -2042,29 +1785,6 @@ impl SearchMemory {
     ///
     /// # Errors
     ///
-    /// As [`BitMatrix::search_cascade`].
-    pub fn search_cascade(&self, batch: &QueryBatch, plan: &CascadePlan) -> Result<CascadeResults> {
-        let m = self.matrix();
-        check_cascade(m, batch, plan)?;
-        if plan.stages() == 1 {
-            // Degenerate plan on a pre-packed memory: reuse the blocked
-            // mirror directly instead of re-packing a full-width prefix
-            // (nothing worth caching is derived).
-            let scores = self.dot_batch(batch)?;
-            return Ok(cascade_run(m, batch, plan, scores, &[]));
-        }
-        let form = self.cascade_cache().get_or_derive(m, plan);
-        let scores = form.stage0_scores(self, batch);
-        Ok(cascade_run(m, batch, plan, scores, &form.row_suffix))
-    }
-
-    /// [`BitMatrix::search_cascade_topk`] over this memory's rows, with
-    /// the same per-(plan, memory) bound-form caching as
-    /// [`SearchMemory::search_cascade`] — repeated-batch top-k loops
-    /// derive the prefix sub-memory and row-suffix table once.
-    ///
-    /// # Errors
-    ///
     /// As [`BitMatrix::search_cascade_topk`].
     pub fn search_cascade_topk(
         &self,
@@ -2072,84 +1792,17 @@ impl SearchMemory {
         plan: &CascadePlan,
         k: usize,
     ) -> Result<CascadeTopK> {
-        if k == 0 {
-            return Err(LinalgError::Empty { op: "search_cascade_topk" });
-        }
         let m = self.matrix();
-        check_cascade(m, batch, plan)?;
-        if plan.stages() == 1 {
-            // Degenerate plan on a pre-packed memory: reuse the blocked
-            // mirror directly instead of re-packing a full-width prefix.
-            let scores = self.dot_batch(batch)?;
-            return Ok(cascade_run_topk(m, batch, plan, scores, &[], k));
-        }
+        check_cascade(m, batch, plan, k)?;
         let form = self.cascade_cache().get_or_derive(m, plan);
-        let scores = form.stage0_scores(self, batch);
-        Ok(cascade_run_topk(m, batch, plan, scores, &form.row_suffix, k))
-    }
-
-    /// [`SearchMemory::search_cascade`] on an explicit backend — the
-    /// equivalence-testing hook (serial; no thread chunking; stage 0
-    /// runs per-row through the backend's flat word kernel instead of
-    /// its tiled sweep, which is bit-identical by the kernel contract).
-    ///
-    /// # Errors
-    ///
-    /// As [`BitMatrix::search_cascade`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backend` is unavailable on this host.
-    pub fn search_cascade_with(
-        &self,
-        batch: &QueryBatch,
-        plan: &CascadePlan,
-        backend: Backend,
-    ) -> Result<CascadeResults> {
-        assert!(backend.is_available(), "backend {backend} not available on this host");
-        let m = self.matrix();
-        check_cascade(m, batch, plan)?;
-        let table = kernel::table_for(backend);
-        let dot = |a: &[u64], b: &[u64]| (table.dot_words)(a, b);
-        let rows = m.rows();
-        let q_total = batch.len();
-        let ends = plan.ends();
-        let e0 = ends[0];
-        let w0 = word_end(e0);
-        // Serial stage 0 through the explicit backend's flat kernel.
-        let mut scores = vec![0u32; q_total * rows];
-        let mut qmasked = Vec::new();
-        for q in 0..q_total {
-            mask_stage(batch.query_words(q), 0, e0, &mut qmasked);
-            let out_row = &mut scores[q * rows..(q + 1) * rows];
-            for (r, slot) in out_row.iter_mut().enumerate() {
-                *slot = dot(&m.row_words_pub(r)[..w0], &qmasked);
-            }
-        }
-        let row_suffix = row_suffix_table(m, ends);
-        let mut winners = vec![(0usize, 0u32); q_total];
-        let mut stats = CascadeStats::zeroed(rows, m.cols(), plan.stages());
-        stats.stage_rows[0] = (q_total * rows) as u64;
-        stats.activated_dims = (q_total * rows * e0) as u64;
-        continuation_range(
-            m,
-            batch,
-            plan,
-            &row_suffix,
-            0,
-            &mut scores,
-            &mut winners,
-            &mut stats,
-            |qs: &[u64], rs: &[&[u64]], out: &mut [u32]| (table.multi_dot_words)(qs, rs, out),
-        );
-        Ok(CascadeResults { winners, stats })
+        bound_search(self, plan, form.as_deref(), batch, k)
     }
 
     /// [`SearchMemory::search_cascade_topk`] on an explicit backend —
-    /// the top-k analogue of [`SearchMemory::search_cascade_with`]
-    /// (serial; no thread chunking; stage 0 per-row through the
-    /// backend's flat word kernel, continuation through its multi-row
-    /// kernel, both bit-identical by the kernel contract).
+    /// the equivalence-testing hook. Every plan, one-stage included,
+    /// runs the pruning skeleton: stage 0 per-row through the backend's
+    /// flat word kernel, the continuation through its multi-row kernel,
+    /// both bit-identical by the kernel contract.
     ///
     /// # Errors
     ///
@@ -2167,42 +1820,34 @@ impl SearchMemory {
     ) -> Result<CascadeTopK> {
         assert!(backend.is_available(), "backend {backend} not available on this host");
         let m = self.matrix();
-        check_cascade(m, batch, plan)?;
+        check_cascade(m, batch, plan, k)?;
         let table = kernel::table_for(backend);
-        let rows = m.rows();
-        let q_total = batch.len();
-        let ends = plan.ends();
-        let e0 = ends[0];
+        let e0 = plan.ends()[0];
         let w0 = word_end(e0);
-        // Serial stage 0 through the explicit backend's flat kernel.
-        let mut scores = vec![0u32; q_total * rows];
+        // Stage 0 through the explicit backend's flat kernel.
+        let mut scores = ScoreMatrix::zeros(batch.len(), m.rows());
         let mut qmasked = Vec::new();
-        for q in 0..q_total {
+        for q in 0..batch.len() {
             mask_stage(batch.query_words(q), 0, e0, &mut qmasked);
-            let out_row = &mut scores[q * rows..(q + 1) * rows];
-            for (r, slot) in out_row.iter_mut().enumerate() {
+            for (r, slot) in scores.scores_mut(q).iter_mut().enumerate() {
                 *slot = (table.dot_words)(&m.row_words_pub(r)[..w0], &qmasked);
             }
         }
-        let row_suffix = row_suffix_table(m, ends);
-        let per_query = k.min(rows);
-        let mut entries = vec![(0usize, 0u32); q_total * per_query];
-        let mut stats = CascadeStats::zeroed(rows, m.cols(), plan.stages());
-        stats.stage_rows[0] = (q_total * rows) as u64;
-        stats.activated_dims = (q_total * rows * e0) as u64;
-        continuation_topk_range(
-            m,
-            batch,
-            plan,
-            &row_suffix,
-            per_query,
-            0,
-            &mut scores,
-            &mut entries,
-            &mut stats,
-            |qs: &[u64], rs: &[&[u64]], out: &mut [u32]| (table.multi_dot_words)(qs, rs, out),
-        );
-        Ok(CascadeTopK { topk: TopK::from_flat(q_total, k, per_query, entries), stats })
+        let row_suffix = row_suffix_table(m, plan.ends());
+        Ok(cascade_run_topk(plan, scores, k, |per_query, q_offset, scores, out, stats| {
+            continuation_topk_range(
+                m,
+                batch,
+                plan,
+                &row_suffix,
+                per_query,
+                q_offset,
+                scores,
+                out,
+                stats,
+                |qs: &[u64], rs: &[&[u64]], out: &mut [u32]| (table.multi_dot_words)(qs, rs, out),
+            )
+        }))
     }
 }
 

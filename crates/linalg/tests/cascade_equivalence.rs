@@ -58,13 +58,13 @@ fn assert_cascade_exact(
     plan: &CascadePlan,
     backend: Backend,
 ) {
-    let out = mem.search_cascade_with(batch, plan, backend).unwrap();
-    prop_assert_eq!(out.len(), queries.len());
+    let out = mem.search_cascade_topk_with(batch, plan, 1, backend).unwrap();
+    prop_assert_eq!(out.topk().len(), queries.len());
     for (q, query) in queries.iter().enumerate() {
         let scores = mem.dot_all(query);
         let expected = hd_linalg::argmax_u32(&scores);
         prop_assert_eq!(
-            out.winner(q),
+            out.topk().hits(q)[0],
             expected,
             "backend {} plan {:?} query {}",
             backend,
@@ -72,7 +72,7 @@ fn assert_cascade_exact(
             q
         );
         // Low-row tie-break: no earlier row reaches the winning score.
-        let (row, score) = out.winner(q);
+        let (row, score) = out.topk().hits(q)[0];
         for (r, &s) in scores.iter().enumerate().take(row) {
             prop_assert!(
                 s < score,

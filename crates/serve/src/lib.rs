@@ -18,12 +18,13 @@
 //!   each pinned to a worker thread with its own pre-packed blocked
 //!   mirror; per-shard winners merge under the workspace's exact
 //!   highest-score / lowest-row tie-break.
-//! * **Cascade serving** ([`CascadeSearcher`],
-//!   [`ShardedSearcher::with_cascade`]) — batches are answered through
-//!   the progressive-precision cascade of `hd_linalg`: dimension
-//!   prefixes first, provably-losing centroids pruned, survivors
-//!   finished. Winners stay bit-identical to the exact adapters; shards
-//!   prune independently and the strict merge is unchanged.
+//! * **Cascade serving** ([`ShardedSearcher::with_cascade`],
+//!   [`ShardedSearcher::from_am_cascade`] and their `_tuned` variants;
+//!   one shard runs inline) — batches are answered through the
+//!   progressive-precision cascade of `hd_linalg`: dimension prefixes
+//!   first, provably-losing centroids pruned, survivors finished.
+//!   Winners stay bit-identical to the exact adapters; shards prune
+//!   independently and the strict merge is unchanged.
 //! * **Hot model swap** ([`ModelRegistry`]) — the served model lives
 //!   behind an `Arc` snapshot; [`Server::publish`] swaps generations
 //!   atomically while in-flight flushes finish on the snapshot they
@@ -72,7 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cascade;
 mod error;
 pub mod net;
 mod registry;
@@ -80,7 +80,6 @@ mod searchable;
 mod server;
 mod shard;
 
-pub use cascade::CascadeSearcher;
 pub use error::{Result, ServeError};
 pub use registry::{Generation, ModelRegistry};
 pub use searchable::{Searchable, Winner};

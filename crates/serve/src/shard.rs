@@ -874,7 +874,11 @@ mod tests {
         let (memory, classes) = random_memory(53, 192, 25);
         let batch = random_batch(17, 192, 26);
         for shards in [1usize, 3] {
-            for plan in [CascadePlan::exact(192), CascadePlan::prefix(192, 64).unwrap()] {
+            for plan in [
+                CascadePlan::exact(192),
+                CascadePlan::prefix(192, 64).unwrap(),
+                CascadePlan::uniform(192, 4).unwrap(),
+            ] {
                 let sharded = ShardedSearcher::with_cascade(
                     memory.clone(),
                     classes.clone(),
@@ -882,7 +886,8 @@ mod tests {
                     plan.clone(),
                 )
                 .unwrap();
-                for k in [1usize, 5] {
+                // k == rows and k > rows clamp to every row.
+                for k in [1usize, 5, 53, 60] {
                     let reference = memory.topk_batch(&batch, k).unwrap();
                     let lists = sharded.search_topk(Arc::clone(&batch), k).unwrap();
                     for (q, list) in lists.iter().enumerate() {
@@ -893,8 +898,16 @@ mod tests {
                             reference.hits(q),
                             "shards {shards}, plan {plan:?}, k {k}, query {q}"
                         );
+                        for w in list {
+                            assert_eq!(w.class, classes[w.row]);
+                        }
                     }
                 }
+                assert!(sharded.search_topk(Arc::clone(&batch), 0).is_err());
+                assert!(matches!(
+                    sharded.search_topk(random_batch(1, 63, 27), 2),
+                    Err(ServeError::DimensionMismatch { expected: 192, found: 63 })
+                ));
             }
         }
     }
@@ -925,6 +938,7 @@ mod tests {
                         reference[q],
                         "shards {shards}, plan {plan:?}, query {q}"
                     );
+                    assert_eq!(w.class, classes[w.row]);
                 }
             }
         }
@@ -949,6 +963,12 @@ mod tests {
                 assert_eq!((w.row, w.score), reference[q], "shards {shards}, query {q}");
             }
         }
+        // Empty / off-dimension samples are configuration errors.
+        let empty = QueryBatch::from_matrix(hd_linalg::BitMatrix::zeros(0, 256));
+        assert!(matches!(
+            ShardedSearcher::with_cascade_tuned(memory.clone(), classes.clone(), 1, &empty),
+            Err(ServeError::InvalidConfig { .. })
+        ));
         let wrong = random_batch(2, 64, 16);
         assert!(ShardedSearcher::with_cascade_tuned(memory, classes, 2, &wrong).is_err());
     }
@@ -956,17 +976,36 @@ mod tests {
     #[test]
     fn cascade_plan_dimension_validated() {
         let (memory, classes) = random_memory(16, 64, 13);
-        assert!(ShardedSearcher::with_cascade(
-            memory.clone(),
-            classes.clone(),
-            2,
-            CascadePlan::exact(65)
-        )
-        .is_err());
-        let ok =
-            ShardedSearcher::with_cascade(memory, classes, 2, CascadePlan::prefix(64, 16).unwrap())
-                .unwrap();
-        assert!(ok.cascade_plan().is_some());
+        let plan = CascadePlan::prefix(64, 16).unwrap();
+        for shards in [1usize, 2] {
+            assert!(ShardedSearcher::with_cascade(
+                memory.clone(),
+                classes.clone(),
+                shards,
+                CascadePlan::exact(65)
+            )
+            .is_err());
+            assert!(ShardedSearcher::with_cascade(
+                memory.clone(),
+                classes[..4].to_vec(),
+                shards,
+                plan.clone()
+            )
+            .is_err());
+            let ok = ShardedSearcher::with_cascade(
+                memory.clone(),
+                classes.clone(),
+                shards,
+                plan.clone(),
+            )
+            .unwrap();
+            assert_eq!(ok.cascade_plan().map(CascadePlan::stages), Some(2));
+            assert_eq!((Searchable::dim(&ok), Searchable::rows(&ok)), (64, 16));
+            assert!(matches!(
+                ok.search_winners(random_batch(1, 63, 17)),
+                Err(ServeError::DimensionMismatch { expected: 64, found: 63 })
+            ));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use hd_linalg::rng::seeded;
 use hd_linalg::{BitVector, CascadePlan};
-use hd_serve::{CascadeSearcher, Pending, Searchable, ServeConfig, Server, ShardedSearcher};
+use hd_serve::{Pending, Searchable, ServeConfig, Server, ShardedSearcher};
 use hdc::BinaryAm;
 use rand::Rng;
 use std::collections::HashMap;
@@ -426,7 +426,7 @@ fn cascade_swap_agrees_with_unsharded_and_never_mixes_generations() {
         .unwrap();
         match variant % 3 {
             0 => Arc::new(ShardedSearcher::from_am_cascade(&am, 3, plan.clone()).unwrap()),
-            1 => Arc::new(CascadeSearcher::from_am(&am, plan.clone()).unwrap()),
+            1 => Arc::new(ShardedSearcher::from_am_cascade(&am, 1, plan.clone()).unwrap()),
             _ => Arc::new(am),
         }
     };
