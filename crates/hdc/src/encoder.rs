@@ -23,8 +23,19 @@ use rand::Rng;
 /// is used during training; the binarized form ([`encode_binary`]) is what
 /// runs on the IMC array at inference time.
 ///
+/// A sample is encoded **once**: the binary form is always
+/// [`binarize`] applied to the floating-point one, so an implementation
+/// supplies [`encode`] (and, if it has a faster bulk kernel,
+/// [`encode_rows`]) plus its binarization rule, and the batched entry
+/// points ([`encode_dataset`], [`encode_binary_batch`]) fan the rows out
+/// over the machine's cores and binarize the hypervectors they already
+/// hold.
+///
 /// [`encode`]: Encoder::encode
 /// [`encode_binary`]: Encoder::encode_binary
+/// [`binarize`]: Encoder::binarize
+/// [`encode_rows`]: Encoder::encode_rows
+/// [`encode_binary_batch`]: Encoder::encode_binary_batch
 pub trait Encoder: Send + Sync {
     /// Number of input features `f` the encoder expects.
     fn input_width(&self) -> usize;
@@ -40,29 +51,55 @@ pub trait Encoder: Send + Sync {
     /// `features.len() != input_width()`.
     fn encode(&self, features: &[f32]) -> Result<Vec<f32>>;
 
-    /// Encodes a feature vector into a binary hypervector.
+    /// Encodes a block of row-major feature rows (`features.len()` a
+    /// multiple of `input_width()`) into `out`, one `dim()`-wide
+    /// hypervector per row, each bit-identical to [`Encoder::encode`] of
+    /// its row.
     ///
-    /// The default implementation binarizes the floating-point hypervector
-    /// at its own mean — the same 1-bit quantization rule MEMHD applies to
-    /// its associative memory (§III-B), keeping the query and memory
-    /// distributions matched.
+    /// The default implementation calls `encode` row by row;
+    /// implementations with a bulk kernel override it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` is not a multiple of `input_width()` or
+    /// `out` does not hold exactly one hypervector per row.
+    fn encode_rows(&self, features: &[f32], out: &mut [f32]) {
+        let (f, dim) = (self.input_width(), self.dim());
+        assert_eq!(features.len() % f, 0, "encode_rows: input is not a whole number of rows");
+        assert_eq!(out.len(), features.len() / f * dim, "encode_rows: output length mismatch");
+        for (row, hv) in features.chunks_exact(f).zip(out.chunks_exact_mut(dim)) {
+            hv.copy_from_slice(&self.encode(row).expect("row width checked above"));
+        }
+    }
+
+    /// Binarizes a floating-point hypervector produced by this encoder.
+    ///
+    /// The default thresholds at the hypervector's own mean — the same
+    /// 1-bit quantization rule MEMHD applies to its associative memory
+    /// (§III-B), keeping the query and memory distributions matched.
+    fn binarize(&self, hv: &[f32]) -> BitVector {
+        BitVector::from_mean_threshold(hv)
+    }
+
+    /// Encodes a feature vector into a binary hypervector:
+    /// [`Encoder::binarize`] of [`Encoder::encode`].
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::FeatureWidthMismatch`] if
     /// `features.len() != input_width()`.
     fn encode_binary(&self, features: &[f32]) -> Result<BitVector> {
-        Ok(BitVector::from_mean_threshold(&self.encode(features)?))
+        Ok(self.binarize(&self.encode(features)?))
     }
 
     /// Encodes every row of `features` into binary hypervectors, packed as
     /// a [`QueryBatch`] ready for a batched associative search — the
     /// preferred inference-path entry point.
     ///
-    /// The default implementation encodes rows in parallel across the
-    /// machine's cores (same strategy as [`encode_dataset`] — encoding is
-    /// the dominant cost of batched inference) and packs once at the end;
-    /// implementations with a cheaper bulk path may override it.
+    /// Rows are encoded in parallel across the machine's cores (the same
+    /// fan-out as [`encode_dataset`]; encoding is the dominant cost of
+    /// batched inference), each thread running [`Encoder::encode_rows`]
+    /// over its chunk, and packed once at the end.
     ///
     /// # Errors
     ///
@@ -70,42 +107,7 @@ pub trait Encoder: Send + Sync {
     /// `features.cols() != input_width()` and
     /// [`HdcError::InvalidTrainingSet`] if `features` has no rows.
     fn encode_binary_batch(&self, features: &Matrix) -> Result<QueryBatch> {
-        let n = features.rows();
-        if n == 0 {
-            return Err(HdcError::InvalidTrainingSet { reason: "no rows to encode".into() });
-        }
-        if features.cols() != self.input_width() {
-            return Err(HdcError::FeatureWidthMismatch {
-                expected: self.input_width(),
-                found: features.cols(),
-            });
-        }
-        let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n);
-        let chunk = n.div_ceil(threads);
-        let rows: Vec<&[f32]> = features.iter_rows().collect();
-        let mut results: Vec<Result<Vec<BitVector>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(chunk)
-                .map(|slice| {
-                    scope.spawn(move || {
-                        slice.iter().map(|r| self.encode_binary(r)).collect::<Result<Vec<_>>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("encoder thread panicked"));
-            }
-        });
-        let mut packed = BitMatrix::zeros(n, self.dim());
-        let mut r = 0usize;
-        for chunk_result in results {
-            for hb in chunk_result? {
-                packed.set_row(r, &hb)?;
-                r += 1;
-            }
-        }
-        Ok(QueryBatch::from_matrix(packed))
+        Ok(QueryBatch::from_vectors(&encode_parallel(self, features, None)?)?)
     }
 
     /// Memory the encoding module occupies, in bits (Table I).
@@ -114,9 +116,11 @@ pub trait Encoder: Send + Sync {
 
 /// Binary random-projection encoder: `H = Mᵀ F` (Eq. 1).
 ///
-/// The projection matrix is stored transposed and bit-packed (`D` rows of
-/// `f` bits), so one encoding is `D` selective sums over the feature
-/// vector.
+/// The projection matrix is held bit-packed twice: transposed (`D` rows of
+/// `f` bits, the layout mapped onto the IMC encoding module) and
+/// feature-major (`f` rows of `D` bits), which the tiled projection kernel
+/// ([`BitMatrix::project_rows`]) sweeps. Each output is the sum of its
+/// selected features in ascending feature order.
 ///
 /// # Example
 ///
@@ -132,6 +136,9 @@ pub trait Encoder: Send + Sync {
 pub struct RandomProjectionEncoder {
     /// Transposed projection: row `j` holds column `j` of `M` (`f` bits).
     projection_t: BitMatrix,
+    /// `M` itself, feature-major: row `i` holds the outputs feature `i`
+    /// feeds (`D` bits).
+    projection: BitMatrix,
     input_width: usize,
     dim: usize,
 }
@@ -155,7 +162,7 @@ impl RandomProjectionEncoder {
                 }
             }
         }
-        RandomProjectionEncoder { projection_t, input_width, dim }
+        Self::from_projection_t(projection_t).expect("dimensions checked above")
     }
 
     /// Borrows the transposed binary projection matrix (`D × f`), as mapped
@@ -180,7 +187,8 @@ impl RandomProjectionEncoder {
                 reason: format!("projection shape {dim}x{input_width} has a zero dimension"),
             });
         }
-        Ok(RandomProjectionEncoder { projection_t, input_width, dim })
+        let projection = projection_t.transpose();
+        Ok(RandomProjectionEncoder { projection_t, projection, input_width, dim })
     }
 }
 
@@ -200,7 +208,13 @@ impl Encoder for RandomProjectionEncoder {
                 found: features.len(),
             });
         }
-        Ok(self.projection_t.matvec_f32(features))
+        let mut hv = vec![0.0; self.dim];
+        self.projection.project_rows(features, &mut hv);
+        Ok(hv)
+    }
+
+    fn encode_rows(&self, features: &[f32], out: &mut [f32]) {
+        self.projection.project_rows(features, out);
     }
 
     fn memory_bits(&self) -> u64 {
@@ -319,10 +333,10 @@ impl Encoder for IdLevelEncoder {
         Ok(acc)
     }
 
-    fn encode_binary(&self, features: &[f32]) -> Result<BitVector> {
+    fn binarize(&self, hv: &[f32]) -> BitVector {
         // Bundled sums are symmetric around zero, so the majority rule
         // (threshold at 0) is the natural binarization here.
-        Ok(BitVector::from_threshold(&self.encode(features)?, 0.0))
+        BitVector::from_threshold(hv, 0.0)
     }
 
     fn memory_bits(&self) -> u64 {
@@ -373,7 +387,8 @@ impl EncodedDataset {
 }
 
 /// Encodes every row of `features` with `encoder`, in parallel across the
-/// machine's cores.
+/// machine's cores: each sample is encoded once, and its binary form is
+/// [`Encoder::binarize`] of the floating-point one.
 ///
 /// # Errors
 ///
@@ -384,53 +399,69 @@ pub fn encode_dataset<E: Encoder + ?Sized>(
     encoder: &E,
     features: &Matrix,
 ) -> Result<EncodedDataset> {
-    if features.rows() == 0 {
-        return Err(HdcError::InvalidTrainingSet { reason: "no samples to encode".into() });
-    }
-    if features.cols() != encoder.input_width() {
-        return Err(HdcError::FeatureWidthMismatch {
-            expected: encoder.input_width(),
-            found: features.cols(),
-        });
-    }
+    let mut fp = vec![0.0; features.rows() * encoder.dim()];
+    let bin = encode_parallel(encoder, features, Some(&mut fp))?;
+    Ok(EncodedDataset { fp: Matrix::from_vec(bin.len(), encoder.dim(), fp)?, bin })
+}
+
+/// Rows per [`Encoder::encode_rows`] call when the floating-point
+/// hypervectors are not kept: bounds the per-thread scratch.
+const SCRATCH_ROWS: usize = 256;
+
+/// The one encoding fan-out: splits `features` into one contiguous chunk
+/// of rows per available core, and each thread runs
+/// [`Encoder::encode_rows`] over its chunk and binarizes the hypervectors
+/// it produced. With `fp`, the floating-point hypervectors land there
+/// (`rows × dim`, row-major); without, each thread reuses a scratch block.
+/// Results are in row order whatever the thread count.
+fn encode_parallel<E: Encoder + ?Sized>(
+    encoder: &E,
+    features: &Matrix,
+    fp: Option<&mut [f32]>,
+) -> Result<Vec<BitVector>> {
     let n = features.rows();
-    let dim = encoder.dim();
+    if n == 0 {
+        return Err(HdcError::InvalidTrainingSet { reason: "no rows to encode".into() });
+    }
+    let (f, dim) = (encoder.input_width(), encoder.dim());
+    if features.cols() != f {
+        return Err(HdcError::FeatureWidthMismatch { expected: f, found: features.cols() });
+    }
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n);
     let chunk = n.div_ceil(threads);
-
-    type EncodedPair = (Vec<f32>, BitVector);
-    let rows: Vec<&[f32]> = features.iter_rows().collect();
-    let mut results: Vec<Result<Vec<EncodedPair>>> = Vec::new();
+    let inputs = features.as_slice().chunks(chunk * f);
+    let outputs: Vec<Option<&mut [f32]>> = match fp {
+        Some(fp) => fp.chunks_mut(chunk * dim).map(Some).collect(),
+        None => (0..inputs.len()).map(|_| None).collect(),
+    };
+    let mut bin = Vec::with_capacity(n);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = rows
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .map(|r| {
-                            let fp = encoder.encode(r)?;
-                            let bin = encoder.encode_binary(r)?;
-                            Ok((fp, bin))
-                        })
-                        .collect::<Result<Vec<_>>>()
+        let handles: Vec<_> = inputs
+            .zip(outputs)
+            .map(|(rows, out)| {
+                scope.spawn(move || match out {
+                    Some(out) => {
+                        encoder.encode_rows(rows, out);
+                        out.chunks_exact(dim).map(|hv| encoder.binarize(hv)).collect()
+                    }
+                    None => {
+                        let mut scratch = vec![0.0; SCRATCH_ROWS.min(chunk) * dim];
+                        let mut bin = Vec::with_capacity(rows.len() / f);
+                        for block in rows.chunks(SCRATCH_ROWS * f) {
+                            let out = &mut scratch[..block.len() / f * dim];
+                            encoder.encode_rows(block, out);
+                            bin.extend(out.chunks_exact(dim).map(|hv| encoder.binarize(hv)));
+                        }
+                        bin
+                    }
                 })
             })
             .collect();
         for h in handles {
-            results.push(h.join().expect("encoder thread panicked"));
+            bin.extend(h.join().expect("encoder thread panicked"));
         }
     });
-
-    let mut fp_flat = Vec::with_capacity(n * dim);
-    let mut bin = Vec::with_capacity(n);
-    for res in results {
-        for (fp_row, b) in res? {
-            fp_flat.extend_from_slice(&fp_row);
-            bin.push(b);
-        }
-    }
-    Ok(EncodedDataset { fp: Matrix::from_vec(n, dim, fp_flat)?, bin })
+    Ok(bin)
 }
 
 #[cfg(test)]

@@ -1,12 +1,85 @@
 //! Property-based tests for the HDC substrate: encoder laws, binarization
 //! invariants, and associative-memory behavior under arbitrary inputs.
 
-use hd_linalg::{BitVector, Matrix};
-use hdc::{BinaryAm, Encoder, FloatAm, IdLevelEncoder, RandomProjectionEncoder};
+use hd_linalg::{BitMatrix, BitVector, Matrix};
+use hdc::{encode_dataset, BinaryAm, Encoder, FloatAm, IdLevelEncoder, RandomProjectionEncoder};
 use proptest::prelude::*;
 
 fn features(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(0.0f32..1.0, len)
+}
+
+/// Feature values that stress float addition: ordinary values of both
+/// signs, `±0.0`, subnormals, `±inf`, NaN, extremes, and arbitrary bit
+/// patterns (NaN payloads included).
+fn hostile_value() -> impl Strategy<Value = f32> {
+    let specials = vec![
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 3.0,
+        -f32::MIN_POSITIVE / 7.0,
+        f32::from_bits(1),
+        f32::MAX,
+        f32::MIN,
+        1e-30,
+        -3.5,
+    ];
+    (0u32..3, prop::sample::select(specials), -4.0f32..4.0, any::<u32>()).prop_map(
+        |(kind, special, ordinary, bits)| match kind {
+            0 => special,
+            1 => ordinary,
+            _ => f32::from_bits(bits),
+        },
+    )
+}
+
+/// The reference projection: for each output, walk the set bits of its
+/// row of the transposed projection in ascending feature order into one
+/// `f32` accumulator.
+fn oracle_projection(projection_t: &BitMatrix, x: &[f32]) -> Vec<f32> {
+    (0..projection_t.rows())
+        .map(|r| {
+            let mut acc = 0.0f32;
+            for (wi, &word) in projection_t.row_view(r).as_words().iter().enumerate() {
+                let mut w = word;
+                while w != 0 {
+                    acc += x[wi * 64 + w.trailing_zeros() as usize];
+                    w &= w - 1;
+                }
+            }
+            acc
+        })
+        .collect()
+}
+
+/// Bits of each value, every NaN mapped to one NaN. Which payload the sum
+/// of two NaNs carries is unspecified in Rust (the compiler may commute
+/// the operands of an add), so it can differ between two builds of the
+/// same loop, the reference's included; every other value must match bit
+/// for bit, `-0.0`, subnormals and infinities included.
+fn bits_of(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+}
+
+/// Every encoding path — `encode`, `encode_binary`, `encode_dataset` (fp
+/// and binary) and `encode_binary_batch` — against per-row reference
+/// hypervectors `expected`, bit for bit.
+fn assert_paths_agree<E: Encoder>(enc: &E, rows: &[Vec<f32>], expected: &[Vec<f32>]) {
+    let m = Matrix::from_rows(rows).unwrap();
+    let ds = encode_dataset(enc, &m).unwrap();
+    let batch = enc.encode_binary_batch(&m).unwrap();
+    assert_eq!((ds.len(), batch.len()), (rows.len(), rows.len()));
+    for (i, (row, want)) in rows.iter().zip(expected).enumerate() {
+        let want_bin = enc.binarize(want);
+        assert_eq!(bits_of(&enc.encode(row).unwrap()), bits_of(want), "encode, row {i}");
+        assert_eq!(enc.encode_binary(row).unwrap(), want_bin, "encode_binary, row {i}");
+        assert_eq!(bits_of(ds.fp.row(i)), bits_of(want), "encode_dataset fp, row {i}");
+        assert_eq!(ds.bin[i], want_bin, "encode_dataset bin, row {i}");
+        assert_eq!(batch.query(i), want_bin, "encode_binary_batch, row {i}");
+    }
 }
 
 proptest! {
@@ -193,4 +266,42 @@ proptest! {
             prop_assert_eq!(ib.query(i), idlv.encode_binary(row).unwrap());
         }
     }
+
+    /// The tiled projection kernel is bit-identical to the ascending
+    /// set-bit walk on hostile feature values, at tile-edge widths, on
+    /// every encoding path; the ID-Level encoder's paths all agree with
+    /// its per-row `encode`.
+    #[test]
+    fn projection_kernel_matches_set_bit_oracle(
+        (f, dim, rows) in (
+            prop::sample::select(vec![1usize, 7, 784]),
+            prop::sample::select(vec![1usize, 15, 16, 17, 63, 65, 1000]),
+        )
+            .prop_flat_map(|(f, dim)| {
+                (Just(f), Just(dim), prop::collection::vec(prop::collection::vec(hostile_value(), f), 1..7))
+            }),
+        seed in 0u64..1000,
+    ) {
+        let proj = RandomProjectionEncoder::new(f, dim, seed);
+        let expected: Vec<Vec<f32>> =
+            rows.iter().map(|r| oracle_projection(proj.projection_t(), r)).collect();
+        assert_paths_agree(&proj, &rows, &expected);
+
+        let idlv = IdLevelEncoder::new(f, dim, 8, seed);
+        let expected: Vec<Vec<f32>> = rows.iter().map(|r| idlv.encode(r).unwrap()).collect();
+        assert_paths_agree(&idlv, &rows, &expected);
+    }
+}
+
+/// Batches larger than one scratch block of the binary-only path (and
+/// than one row group of the kernel) keep row order and bits.
+#[test]
+fn long_batches_match_the_oracle() {
+    let (f, dim) = (7, 65);
+    let rows: Vec<Vec<f32>> =
+        (0..600).map(|i| (0..f).map(|j| ((i * 31 + j * 7) % 23) as f32 - 11.5).collect()).collect();
+    let proj = RandomProjectionEncoder::new(f, dim, 4);
+    let expected: Vec<Vec<f32>> =
+        rows.iter().map(|r| oracle_projection(proj.projection_t(), r)).collect();
+    assert_paths_agree(&proj, &rows, &expected);
 }

@@ -735,31 +735,6 @@ impl BitMatrix {
         (0..self.rows).map(|r| crate::batch::dot_words(self.row_words(r), qw)).collect()
     }
 
-    /// Dot product of every row with a real-valued input — a binary-weight
-    /// MVM (`y = B·x`), the kernel of binary random-projection encoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec_f32(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.cols, "matvec_f32: input length mismatch");
-        (0..self.rows)
-            .map(|r| {
-                let mut acc = 0.0f32;
-                for (wi, &word) in self.row_words(r).iter().enumerate() {
-                    let mut w = word;
-                    let base = wi * WORD_BITS;
-                    while w != 0 {
-                        let bit = w.trailing_zeros() as usize;
-                        acc += x[base + bit];
-                        w &= w - 1;
-                    }
-                }
-                acc
-            })
-            .collect()
-    }
-
     /// Total number of set bits in the matrix.
     pub fn count_ones(&self) -> u64 {
         self.data.iter().map(|w| w.count_ones() as u64).sum()
@@ -1052,17 +1027,6 @@ mod tests {
         let q = BitVector::from_bools(&[true, true, true, false]);
         assert_eq!(m.dot_all(&q), vec![m.row_dot(0, &q), m.row_dot(1, &q)]);
         assert_eq!(m.dot_all(&q), vec![2, 2]);
-    }
-
-    #[test]
-    fn matvec_f32_matches_dense() {
-        let rows = vec![
-            BitVector::from_bools(&[true, false, true, true]),
-            BitVector::from_bools(&[false, false, false, true]),
-        ];
-        let m = BitMatrix::from_rows(&rows).unwrap();
-        let x = [0.5f32, 1.5, 2.5, 3.5];
-        assert_eq!(m.matvec_f32(&x), vec![6.5, 3.5]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! reachable on the host.
 
 use crate::blocked::BlockedBitMatrix;
-use crate::QueryBatch;
+use crate::{BitMatrix, QueryBatch};
 use std::sync::OnceLock;
 
 /// A popcount kernel implementation selectable at runtime.
@@ -221,6 +221,9 @@ pub(crate) struct KernelTable {
     #[allow(clippy::type_complexity)]
     pub(crate) blocked_topk_range:
         fn(&BlockedBitMatrix, &QueryBatch, usize, usize, &mut [(usize, u32)]),
+    /// Binary-weight projection of real rows through a feature-major
+    /// matrix (see [`BitMatrix::project_rows`]); shapes pre-checked.
+    pub(crate) project_rows: fn(&BitMatrix, &[f32], &mut [f32]),
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
@@ -230,6 +233,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     blocked_dot_range: crate::blocked::scalar_dot_range,
     blocked_winners_range: crate::blocked::scalar_winners_range,
     blocked_topk_range: crate::blocked::scalar_topk_range,
+    project_rows: crate::project::scalar_project_rows,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -240,6 +244,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     blocked_dot_range: crate::blocked::avx2_dot_range,
     blocked_winners_range: crate::blocked::avx2_winners_range,
     blocked_topk_range: crate::blocked::avx2_topk_range,
+    project_rows: crate::project::x86::avx2_project_rows,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -250,6 +255,7 @@ static AVX512_TABLE: KernelTable = KernelTable {
     blocked_dot_range: crate::blocked::avx512_dot_range,
     blocked_winners_range: crate::blocked::avx512_winners_range,
     blocked_topk_range: crate::blocked::avx512_topk_range,
+    project_rows: crate::project::x86::avx512_project_rows,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -260,6 +266,7 @@ static NEON_TABLE: KernelTable = KernelTable {
     blocked_dot_range: crate::blocked::neon_dot_range,
     blocked_winners_range: crate::blocked::neon_winners_range,
     blocked_topk_range: crate::blocked::neon_topk_range,
+    project_rows: crate::project::scalar_project_rows,
 };
 
 /// The dispatch table of an explicit backend (assumed available).

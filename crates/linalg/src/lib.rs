@@ -61,8 +61,9 @@
 //! ```
 
 // Unsafe code is denied everywhere except the explicitly-audited SIMD
-// kernels (`kernel`, `blocked`), whose intrinsics are published only
-// behind runtime feature detection.
+// kernels (`kernel`, `blocked`, `project`), whose intrinsics and
+// target-feature builds are published only behind runtime feature
+// detection.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -76,6 +77,8 @@ mod error;
 #[allow(unsafe_code)]
 pub mod kernel;
 mod matrix;
+#[allow(unsafe_code)]
+mod project;
 pub mod rng;
 pub mod stats;
 mod vector;

@@ -174,6 +174,35 @@ proptest! {
             prop_assert_eq!(reference.scores(q)[row], score);
         }
     }
+
+    /// The projection kernel gives the same bits on every backend, across
+    /// tile-edge output widths and row counts on either side of a row
+    /// group, with arbitrary float bit patterns (NaN, ±inf, subnormals);
+    /// NaN outputs only have to be NaN.
+    #[test]
+    fn projection_matches_scalar(
+        (weights, inputs) in (1usize..12, prop::sample::select(vec![1usize, 15, 16, 17, 65, 130]))
+            .prop_flat_map(|(f, d)| {
+                (bit_rows(f, d), prop::collection::vec(any::<u32>(), f * 9))
+            })
+    ) {
+        let m = BitMatrix::from_rows(&weights).unwrap();
+        let inputs: Vec<f32> = inputs.into_iter().map(f32::from_bits).collect();
+        let bits = |backend| {
+            let mut out = vec![0.0f32; inputs.len() / m.rows() * m.cols()];
+            m.project_rows_with(backend, &inputs, &mut out);
+            // Every NaN maps to one NaN: which payload the sum of two NaNs
+            // carries is unspecified in Rust, and differs between the
+            // portable and AVX2 builds of the kernel.
+            out.iter()
+                .map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() })
+                .collect::<Vec<u32>>()
+        };
+        let reference = bits(Backend::Scalar);
+        for backend in Backend::available() {
+            prop_assert_eq!(&bits(backend), &reference, "backend {}", backend);
+        }
+    }
 }
 
 #[test]

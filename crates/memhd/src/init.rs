@@ -18,6 +18,10 @@
 //!    re-clustering those classes — until every column is used and the IMC
 //!    array is fully utilized.
 //!
+//! Each round's per-class k-means jobs are independent (a job depends only
+//! on its class and round), so they run on every core; the allocation
+//! logic and validation between rounds stay serial.
+//!
 //! [`random_sampling_init`] implements the Fig. 5 baseline: centroids are
 //! random training hypervectors with columns spread evenly across classes.
 
@@ -29,6 +33,7 @@ use hd_linalg::stats::ConfusionMatrix;
 use hd_linalg::Matrix;
 use hdc::{EncodedDataset, FloatAm};
 use rand::Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-class view of the encoded training set.
 #[derive(Debug)]
@@ -100,6 +105,48 @@ fn cluster_class(
         .with_seed(derive_seed(config.seed(), (class as u64) << 8 | round as u64));
     let result = kmeans(class_fp, &cfg)?;
     Ok((0..n).map(|c| result.centroids.row(c).to_vec()).collect())
+}
+
+/// Runs one round's k-means jobs — `(class, n)`: cluster `class` into `n`
+/// centroids — on up to `available_parallelism` threads. Threads pull jobs
+/// from a shared counter and results are stored by job index, so the
+/// output (and the first error, in job order) does not depend on the
+/// thread count: every job depends only on its own class and round.
+fn cluster_round(
+    samples: &ClassSamples,
+    jobs: &[(usize, usize)],
+    config: &MemhdConfig,
+    round: usize,
+) -> Result<Vec<Vec<Vec<f32>>>> {
+    let next = AtomicUsize::new(0);
+    let threads =
+        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(jobs.len());
+    let mut results: Vec<Option<Result<Vec<Vec<f32>>>>> = jobs.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter hands out indices and
+                        // publishes no data; results return through join.
+                        let job = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(class, n)) = jobs.get(job) else { break done };
+                        done.push((
+                            job,
+                            cluster_class(&samples.fp[class], n, config, class, round),
+                        ));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            for (job, centroids) in h.join().expect("k-means thread panicked") {
+                results[job] = Some(centroids);
+            }
+        }
+    });
+    results.into_iter().map(|r| r.expect("every job ran")).collect()
 }
 
 /// Builds a [`FloatAm`] from per-class centroid lists, L2-normalizing every
@@ -225,10 +272,8 @@ pub fn clustering_init(
     // Stage 1: classwise clustering at ratio R.
     let n = config.initial_clusters_per_class();
     let mut counts: Vec<usize> = cap.iter().map(|&c| n.min(c)).collect();
-    let mut per_class: Vec<Vec<Vec<f32>>> = Vec::with_capacity(k);
-    for (class, &count) in counts.iter().enumerate() {
-        per_class.push(cluster_class(&samples.fp[class], count, config, class, 0)?);
-    }
+    let jobs: Vec<(usize, usize)> = counts.iter().copied().enumerate().collect();
+    let mut per_class = cluster_round(&samples, &jobs, config, 0)?;
 
     // Stage 2: allocate the remaining columns by misprediction mass.
     let mut round = 1usize;
@@ -254,12 +299,15 @@ pub fn clustering_init(
                 ),
             });
         }
-        for class in 0..k {
-            if grants[class] > 0 {
-                counts[class] += grants[class];
-                per_class[class] =
-                    cluster_class(&samples.fp[class], counts[class], config, class, round)?;
-            }
+        let mut jobs = Vec::new();
+        for class in (0..k).filter(|&c| grants[c] > 0) {
+            counts[class] += grants[class];
+            jobs.push((class, counts[class]));
+        }
+        for (&(class, _), centroids) in
+            jobs.iter().zip(cluster_round(&samples, &jobs, config, round)?)
+        {
+            per_class[class] = centroids;
         }
         round += 1;
     }

@@ -14,7 +14,7 @@ use hd_serve::net::{
 use hd_serve::{Searchable, ServeConfig, Server, ShardedSearcher};
 use proptest::prelude::*;
 use rand::Rng as _;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -53,14 +53,21 @@ fn fixture_addr() -> SocketAddr {
     })
 }
 
-/// Reads frames until EOF, asserting each one parses as a known frame
-/// type. Returns the ids of RESPONSE frames, in arrival order.
+/// Reads frames until the server closes the connection, asserting each
+/// one parses as a known frame type. Returns the ids of RESPONSE frames,
+/// in arrival order. A read that times out means the connection hung
+/// (a connection thread stalled or panicked) and fails the test.
 fn drain_frames(stream: &mut TcpStream) -> Vec<u64> {
     let mut response_ids = Vec::new();
     loop {
         let header = match wire::read_header(stream) {
             Ok(h) => h,
-            Err(WireError::Io(_)) => break, // clean close
+            Err(WireError::Io(e))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                panic!("connection hung: neither a frame nor a close within the read timeout")
+            }
+            Err(WireError::Io(_)) => break, // EOF or reset: the server closed
             Err(e) => panic!("server sent an unparseable frame: {e}"),
         };
         match header.frame_type {
@@ -145,9 +152,20 @@ proptest::proptest! {
     fn server_answers_or_closes_on_hostile_streams(bytes in hostile_bytes()) {
         let mut stream = TcpStream::connect(fixture_addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        stream.write_all(&bytes).unwrap();
-        stream.shutdown(Shutdown::Write).unwrap();
-        // Must terminate: every frame parseable, then EOF — a read
+        // A fatal frame early in the stream makes the server close the
+        // connection, possibly before the rest is written: a broken pipe
+        // or reset on the write, or a not-connected shutdown, means the
+        // server closed. What it sent before closing must still parse.
+        if let Err(e) = stream.write_all(&bytes) {
+            assert!(
+                matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset),
+                "write failed: {e}"
+            );
+        }
+        if let Err(e) = stream.shutdown(Shutdown::Write) {
+            assert_eq!(e.kind(), ErrorKind::NotConnected, "shutdown failed: {e}");
+        }
+        // Must terminate: every frame parseable, then a close — a read
         // timeout here means a connection thread hung or panicked.
         drain_frames(&mut stream);
     }
