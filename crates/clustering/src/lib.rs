@@ -291,29 +291,35 @@ pub fn kmeans(data: &Matrix, config: &KmeansConfig) -> Result<KmeansResult, Clus
     }
 
     let mut assignments = vec![0usize; n];
+    let mut nearest = vec![0usize; n];
     let mut iterations = 0;
     let mut converged = false;
 
     for iter in 0..config.max_iters {
         iterations = iter + 1;
-        // Assignment step.
-        let mut changed = false;
-        for (i, assignment) in assignments.iter_mut().enumerate() {
-            let point = data.row(i);
-            let mut best = 0usize;
-            let mut best_score = config.distance.score(point, centroids.row(0));
-            for c in 1..config.k {
-                let s = config.distance.score(point, centroids.row(c));
-                if s > best_score {
-                    best_score = s;
-                    best = c;
+        // Assignment step: the first centroid with the highest score.
+        match config.distance {
+            KmeansDistance::DotSimilarity => {
+                hd_linalg::argmax_dot_rows(data, &centroids, &mut nearest);
+            }
+            distance => {
+                for (i, slot) in nearest.iter_mut().enumerate() {
+                    let point = data.row(i);
+                    let mut best = 0usize;
+                    let mut best_score = distance.score(point, centroids.row(0));
+                    for c in 1..config.k {
+                        let s = distance.score(point, centroids.row(c));
+                        if s > best_score {
+                            best_score = s;
+                            best = c;
+                        }
+                    }
+                    *slot = best;
                 }
             }
-            if *assignment != best {
-                *assignment = best;
-                changed = true;
-            }
         }
+        let changed = assignments != nearest;
+        assignments.copy_from_slice(&nearest);
         if iter > 0 && !changed {
             converged = true;
             break;

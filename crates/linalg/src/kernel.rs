@@ -27,7 +27,7 @@
 //! reachable on the host.
 
 use crate::blocked::BlockedBitMatrix;
-use crate::{BitMatrix, QueryBatch};
+use crate::{BitMatrix, Matrix, QueryBatch};
 use std::sync::OnceLock;
 
 /// A popcount kernel implementation selectable at runtime.
@@ -224,6 +224,9 @@ pub(crate) struct KernelTable {
     /// Binary-weight projection of real rows through a feature-major
     /// matrix (see [`BitMatrix::project_rows`]); shapes pre-checked.
     pub(crate) project_rows: fn(&BitMatrix, &[f32], &mut [f32]),
+    /// First centroid with the highest `dot` per point (see
+    /// [`crate::argmax_dot_rows`]); shapes pre-checked, `d > 0`.
+    pub(crate) argmax_dot_rows: fn(&Matrix, &Matrix, &mut [usize]),
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
@@ -234,6 +237,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     blocked_winners_range: crate::blocked::scalar_winners_range,
     blocked_topk_range: crate::blocked::scalar_topk_range,
     project_rows: crate::project::scalar_project_rows,
+    argmax_dot_rows: crate::assign::scalar_argmax_dot_rows,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -245,6 +249,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     blocked_winners_range: crate::blocked::avx2_winners_range,
     blocked_topk_range: crate::blocked::avx2_topk_range,
     project_rows: crate::project::x86::avx2_project_rows,
+    argmax_dot_rows: crate::assign::x86::avx2_argmax_dot_rows,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -256,6 +261,7 @@ static AVX512_TABLE: KernelTable = KernelTable {
     blocked_winners_range: crate::blocked::avx512_winners_range,
     blocked_topk_range: crate::blocked::avx512_topk_range,
     project_rows: crate::project::x86::avx512_project_rows,
+    argmax_dot_rows: crate::assign::x86::avx512_argmax_dot_rows,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -267,6 +273,7 @@ static NEON_TABLE: KernelTable = KernelTable {
     blocked_winners_range: crate::blocked::neon_winners_range,
     blocked_topk_range: crate::blocked::neon_topk_range,
     project_rows: crate::project::scalar_project_rows,
+    argmax_dot_rows: crate::assign::scalar_argmax_dot_rows,
 };
 
 /// The dispatch table of an explicit backend (assumed available).

@@ -61,12 +61,14 @@
 //! ```
 
 // Unsafe code is denied everywhere except the explicitly-audited SIMD
-// kernels (`kernel`, `blocked`, `project`), whose intrinsics and
+// kernels (`kernel`, `blocked`, `project`, `assign`), whose intrinsics and
 // target-feature builds are published only behind runtime feature
 // detection.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[allow(unsafe_code)]
+mod assign;
 mod batch;
 mod bits;
 #[allow(unsafe_code)]
@@ -83,6 +85,7 @@ pub mod rng;
 pub mod stats;
 mod vector;
 
+pub use assign::{argmax_dot_rows, argmax_dot_rows_with};
 pub use batch::{
     argmax_scores as argmax_u32, QueryBatch, QueryBatchBuilder, ScoreMatrix, SearchResults, TopK,
 };

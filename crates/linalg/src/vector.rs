@@ -5,14 +5,22 @@
 
 /// Dot product of two equal-length slices.
 ///
+/// The summation order is a contract, not an implementation detail:
+/// each 8-element chunk is summed into its own partial started at
+/// `+0.0`, products `a[i] * b[i]` added in ascending `i`; each partial
+/// is added, in chunk order, to an accumulator started at `+0.0`; the
+/// tail's products are then added to the accumulator one at a time.
+/// Every product is a separate multiply and add (Rust never fuses or
+/// reassociates them). [`crate::argmax_dot_rows`] repeats this order lane
+/// by lane, and seeded training digests depend on it; changing it
+/// changes trained models.
+///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch ({} vs {})", a.len(), b.len());
-    // Chunked accumulation: lets the compiler vectorize and keeps float
-    // error growth similar across platforms.
     let mut acc = 0.0f32;
     let mut chunks_a = a.chunks_exact(8);
     let mut chunks_b = b.chunks_exact(8);

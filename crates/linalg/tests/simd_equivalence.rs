@@ -5,10 +5,15 @@
 //! blocked batched sweeps, and winner selection including the low-row
 //! tie-break, across tail-word widths and padding configurations. These
 //! properties are the contract that lets the dispatch table swap backends
-//! freely at startup.
+//! freely at startup. The float kernels (projection and dot-similarity
+//! assignment) are held to the same contract, and assignment also to a
+//! per-pair `dot` oracle.
 
 use hd_linalg::kernel::{self, Backend};
-use hd_linalg::{BitMatrix, BitVector, BlockedBitMatrix, QueryBatch, SearchMemory};
+use hd_linalg::{
+    argmax_dot_rows, argmax_dot_rows_with, dot, BitMatrix, BitVector, BlockedBitMatrix, Matrix,
+    QueryBatch, SearchMemory,
+};
 use proptest::prelude::*;
 
 fn bool_vec(len: usize) -> impl Strategy<Value = Vec<bool>> {
@@ -27,6 +32,81 @@ fn bits(len: usize) -> impl Strategy<Value = BitVector> {
 
 fn bit_rows(rows: usize, len: usize) -> impl Strategy<Value = Vec<BitVector>> {
     prop::collection::vec(bits(len), rows)
+}
+
+/// How [`assignment_case`] fills its matrices.
+#[derive(Debug, Clone, Copy)]
+enum Fill {
+    /// Values in `[-4, 4)`.
+    Smooth,
+    /// Small integers in `-2..=2`, so exact score ties are common.
+    Ties,
+    /// Every centroid is a distinct rotation of one row of values spread
+    /// over 2^-10..2^10 in magnitude, and every point is constant: all
+    /// scores of a point are equal in exact arithmetic, so the winner is
+    /// decided by rounding alone and any change of summation order shows.
+    RoundingRace,
+}
+
+/// One `f32` from 32 random bits. With probability `special / 512` it is
+/// a special pattern: ±0, a subnormal, ±inf, a NaN with a random payload
+/// or arbitrary bits; otherwise a value as `fill` says.
+fn float_from(bits: u32, special: u32, fill: Fill) -> f32 {
+    let sign = bits & 0x8000_0000;
+    if bits % 512 < special {
+        return f32::from_bits(match (bits >> 9) % 6 {
+            0 => sign,
+            1 => sign | (bits >> 12 & 0x007f_ffff).max(1),
+            2 => sign | 0x7f80_0000,
+            3 => 0x7fc0_0000 | (bits >> 12 & 0x003f_ffff),
+            _ => bits.rotate_left(13),
+        });
+    }
+    match fill {
+        Fill::Smooth => (bits >> 8) as f32 / (1u32 << 24) as f32 * 8.0 - 4.0,
+        Fill::Ties => ((bits >> 9) % 5) as f32 - 2.0,
+        Fill::RoundingRace => {
+            let exponent = 117 + (bits >> 23 & 0xff) % 21;
+            f32::from_bits(sign | exponent << 23 | (bits & 0x007f_ffff))
+        }
+    }
+}
+
+/// `(points, centroids)` as `n × d` and `k × d` matrices for
+/// dot-similarity assignment, over the centroid counts and widths that
+/// straddle the kernel's 16-centroid tiles and 8-element chunks, with
+/// `n` on both sides of its 2- and 4-point sweeps.
+fn assignment_case() -> impl Strategy<Value = (Matrix, Matrix)> {
+    (
+        prop::sample::select(vec![1usize, 2, 15, 16, 17, 33, 80]),
+        prop::sample::select(vec![1usize, 7, 8, 9, 127, 128, 515]),
+        1usize..10,
+        prop::sample::select(vec![0u32, 1, 8, 64]),
+        prop::sample::select(vec![Fill::Smooth, Fill::Ties, Fill::RoundingRace]),
+    )
+        .prop_flat_map(|(k, d, n, special, fill)| {
+            prop::collection::vec(any::<u32>(), (n + k) * d).prop_map(move |bits| {
+                let mut values: Vec<f32> =
+                    bits.into_iter().map(|b| float_from(b, special, fill)).collect();
+                if let Fill::RoundingRace = fill {
+                    let base = values[..d].to_vec();
+                    for (r, row) in values.chunks_exact_mut(d).enumerate() {
+                        if r < n {
+                            let v = row[0];
+                            row.fill(v);
+                        } else {
+                            row.copy_from_slice(&base);
+                            row.rotate_left((r - n) % d);
+                        }
+                    }
+                }
+                let (points, centroids) = values.split_at(n * d);
+                (
+                    Matrix::from_vec(n, d, points.to_vec()).unwrap(),
+                    Matrix::from_vec(k, d, centroids.to_vec()).unwrap(),
+                )
+            })
+        })
 }
 
 proptest! {
@@ -203,6 +283,45 @@ proptest! {
             prop_assert_eq!(&bits(backend), &reference, "backend {}", backend);
         }
     }
+
+    /// Dot-similarity assignment equals scoring every pair with `dot` and
+    /// keeping the first strictly greater score from centroid 0, for any
+    /// float bit patterns (a NaN score never wins a comparison).
+    #[test]
+    fn argmax_dot_rows_matches_dot_oracle((points, centroids) in assignment_case()) {
+        let oracle: Vec<usize> = points
+            .iter_rows()
+            .map(|p| {
+                let (mut best, mut best_score) = (0, dot(p, centroids.row(0)));
+                for c in 1..centroids.rows() {
+                    let s = dot(p, centroids.row(c));
+                    if s > best_score {
+                        (best, best_score) = (c, s);
+                    }
+                }
+                best
+            })
+            .collect();
+        let mut out = vec![usize::MAX; points.rows()];
+        argmax_dot_rows(&points, &centroids, &mut out);
+        prop_assert_eq!(out, oracle);
+    }
+
+    /// Dot-similarity assignment gives the same centroids on every
+    /// backend.
+    #[test]
+    fn argmax_dot_rows_matches_scalar((points, centroids) in assignment_case()) {
+        let assign = |backend| {
+            let mut out = vec![usize::MAX; points.rows()];
+            argmax_dot_rows_with(backend, &points, &centroids, &mut out);
+            out
+        };
+        let reference = assign(Backend::Scalar);
+        for backend in Backend::available() {
+            prop_assert_eq!(&assign(backend), &reference, "backend {}", backend);
+        }
+    }
+
 }
 
 #[test]

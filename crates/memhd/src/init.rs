@@ -30,7 +30,7 @@ use crate::error::{MemhdError, Result};
 use hd_clustering::{kmeans, KmeansConfig, KmeansDistance};
 use hd_linalg::rng::{derive_seed, seeded};
 use hd_linalg::stats::ConfusionMatrix;
-use hd_linalg::Matrix;
+use hd_linalg::{Matrix, QueryBatch};
 use hdc::{EncodedDataset, FloatAm};
 use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -163,23 +163,23 @@ fn build_am(num_classes: usize, per_class: &[Vec<Vec<f32>>]) -> Result<FloatAm> 
     Ok(am)
 }
 
-/// Validates the current AM on the training set and returns the confusion
-/// matrix.
+/// Validates the current AM on the training set (packed once per
+/// [`clustering_init`] as `batch`) and returns the confusion matrix.
 ///
 /// Validation uses the *quantized* AM with binarized queries — the same
 /// comparison inference will perform — so allocation reacts to the errors
-/// that actually matter after 1-bit quantization.
+/// that actually matter after 1-bit quantization. The batched sweep keeps
+/// [`hdc::BinaryAm::search`]'s scores and low-row tie-break.
 fn validate(
     am: &FloatAm,
-    encoded: &EncodedDataset,
+    batch: &QueryBatch,
     labels: &[usize],
     num_classes: usize,
 ) -> Result<ConfusionMatrix> {
-    let binary = am.quantize();
+    let predicted = am.quantize().classify_batch(batch).map_err(MemhdError::Hdc)?;
     let mut cm = ConfusionMatrix::new(num_classes);
-    for (i, &label) in labels.iter().enumerate() {
-        let hit = binary.search(&encoded.bin[i]).map_err(MemhdError::Hdc)?;
-        cm.record(label, hit.class);
+    for (&label, class) in labels.iter().zip(predicted) {
+        cm.record(label, class);
     }
     Ok(cm)
 }
@@ -276,6 +276,7 @@ pub fn clustering_init(
     let mut per_class = cluster_round(&samples, &jobs, config, 0)?;
 
     // Stage 2: allocate the remaining columns by misprediction mass.
+    let batch = encoded.to_query_batch().map_err(MemhdError::Hdc)?;
     let mut round = 1usize;
     loop {
         let used: usize = counts.iter().sum();
@@ -284,12 +285,12 @@ pub fn clustering_init(
         }
         let remaining = columns - used;
         let rounds_left = config.allocation_rounds().saturating_sub(round - 1).max(1);
-        let batch = remaining.div_ceil(rounds_left);
+        let grant = remaining.div_ceil(rounds_left);
 
         let am = build_am(k, &per_class)?;
-        let cm = validate(&am, encoded, labels, k)?;
+        let cm = validate(&am, &batch, labels, k)?;
         let misses: Vec<u64> = (0..k).map(|c| cm.misses_for_class(c)).collect();
-        let grants = distribute(batch, &misses, &counts, &cap);
+        let grants = distribute(grant, &misses, &counts, &cap);
         if grants.iter().all(|&g| g == 0) {
             // All classes at sample capacity: cannot fill further.
             return Err(MemhdError::InvalidData {

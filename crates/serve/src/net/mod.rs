@@ -1117,8 +1117,9 @@ fn handle_query_frame(
 
 /// Per-connection writer loop: redeems pendings in FIFO order and
 /// streams frames back. The `BufWriter` is flushed whenever the queue
-/// goes momentarily empty, so each micro-batch flush leaves as one
-/// syscall burst without waiting for the connection to go idle.
+/// goes momentarily empty and before blocking on an answer that is not
+/// ready, so each micro-batch flush leaves as one syscall burst without
+/// waiting for the connection to go idle or for a later flush.
 ///
 /// The connection's `in_flight` gauge (what [`WireServer::drain`] waits
 /// on) is decremented only after the answers actually reach the socket —
@@ -1193,13 +1194,23 @@ fn connection_writer(
                 )
             }
             Outgoing::Answer { id, pending } => {
+                // Everything buffered so far is complete: put it on the
+                // socket before blocking on an answer that is not, so an
+                // earlier flush's answers never wait on a later one.
+                if !pending.is_ready() {
+                    if out.flush().is_err() {
+                        abandon(state, unflushed + 1, rx);
+                        return;
+                    }
+                    settle(state, &mut unflushed);
+                }
                 let res = match pending.wait() {
                     Ok(hits) => wire::write_response(&mut out, id, &hits),
                     Err(e) => wire::write_error(&mut out, id, serve_error_code(&e), &e.to_string()),
                 };
-                if res.is_ok() {
-                    unflushed += 1;
-                }
+                // Released at the next flush, or by `abandon` if the
+                // write failed.
+                unflushed += 1;
                 res
             }
             Outgoing::Ping { nonce } => wire::write_ping(&mut out, nonce),

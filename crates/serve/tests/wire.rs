@@ -620,6 +620,107 @@ fn drain_flushes_in_flight_answers_then_says_goaway() {
     server.shutdown();
 }
 
+/// A model whose `n`-th call (0-based) blocks until the test has opened
+/// at least `n + 1` calls, so a test can hold any flush at will.
+struct GatedModel {
+    inner: Arc<dyn Searchable>,
+    /// `(calls entered, calls allowed to proceed)`.
+    state: std::sync::Mutex<(usize, usize)>,
+    cv: std::sync::Condvar,
+}
+
+impl GatedModel {
+    fn new(inner: Arc<dyn Searchable>) -> Self {
+        GatedModel { inner, state: std::sync::Mutex::new((0, 0)), cv: std::sync::Condvar::new() }
+    }
+
+    /// Lets the first `calls` calls proceed.
+    fn open(&self, calls: usize) {
+        self.state.lock().unwrap().1 = calls;
+        self.cv.notify_all();
+    }
+
+    /// Blocks until `calls` calls have entered the model.
+    fn wait_entered(&self, calls: usize) {
+        let guard = self.state.lock().unwrap();
+        let timeout = Duration::from_secs(10);
+        let (guard, _) = self.cv.wait_timeout_while(guard, timeout, |s| s.0 < calls).unwrap();
+        assert!(guard.0 >= calls, "the model was entered {} times, expected {calls}", guard.0);
+    }
+
+    fn gate(&self) {
+        let mut guard = self.state.lock().unwrap();
+        let call = guard.0;
+        guard.0 += 1;
+        self.cv.notify_all();
+        drop(self.cv.wait_while(guard, |s| s.1 <= call).unwrap());
+    }
+}
+
+impl Searchable for GatedModel {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn rows(&self) -> usize {
+        self.inner.rows()
+    }
+
+    fn search_winners(&self, batch: Arc<QueryBatch>) -> hd_serve::Result<Vec<Winner>> {
+        self.gate();
+        self.inner.search_winners(batch)
+    }
+
+    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> hd_serve::Result<Vec<Vec<Winner>>> {
+        self.gate();
+        self.inner.search_topk(batch, k)
+    }
+}
+
+#[test]
+fn an_earlier_flush_is_answered_while_a_later_flush_is_held() {
+    // Two frames, two deadline flushes on the one flusher thread. The
+    // first flush is held until the second frame's answer is queued
+    // behind it in the connection's writer; the second is held for the
+    // whole check. The first answer must reach the client anyway: the
+    // writer flushes what it has before waiting on an unready answer.
+    let gated = Arc::new(GatedModel::new(sharded_fixture(531)));
+    let server = Arc::new(
+        Server::start(
+            Arc::clone(&gated) as Arc<dyn Searchable>,
+            // The admission gauge (on with `max_in_flight`) shows when the
+            // second frame is accepted.
+            ServeConfig { max_batch: 8, max_delay: Duration::from_millis(1), max_in_flight: 8 },
+        )
+        .unwrap(),
+    );
+    let wire = WireServer::start(Arc::clone(&server), WireConfig::default()).unwrap();
+    let addr = wire.listen_tcp("127.0.0.1:0").unwrap();
+    let mut client = WireClient::connect_tcp(addr).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let queries = random_queries(2, 532);
+
+    let first = client.send_queries(&queries[..1], 1).unwrap();
+    gated.wait_entered(1);
+    let second = client.send_queries(&queries[1..], 1).unwrap();
+    // The reader queues a frame's answers as soon as it is admitted.
+    wait_until(Duration::from_secs(10), "second frame admitted", || server.in_flight() == 2);
+    gated.open(1);
+
+    let (id, hits) =
+        client.recv_response().expect("the first answer arrives while the second flush is held");
+    assert_eq!(id, first.start);
+    assert_eq!(hits.len(), 1);
+    gated.wait_entered(2);
+
+    gated.open(2);
+    let (id, hits) = client.recv_response().unwrap();
+    assert_eq!(id, second.start);
+    assert_eq!(hits.len(), 1);
+    wire.shutdown();
+    server.shutdown();
+}
+
 #[test]
 fn config_rejects_zero_idle_timeout_and_max_connections() {
     let sharded = sharded_fixture(521);
