@@ -8,6 +8,8 @@
 //! (the "concurrency" in the id: `served_1x256` = 1 submitter thread with
 //! 256 in-flight, `served_4x64` = 4 threads with 64 in-flight each), and
 //! the micro-batcher flushes every `max_batch` inline.
+//! `served_topk5_1x256` is `served_1x256` with every submission asking
+//! for its 5 best rows, which takes the k>1 flush path.
 //!
 //! All shapes use the paper's flagship MEMHD 128 centroids × 128 bits AM,
 //! matching `associative_search_batched` in `BENCH_search.json`.
@@ -15,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hd_linalg::rng::seeded;
 use hd_linalg::{BitVector, QueryBatch};
-use hd_serve::{Pending, Searchable, ServeConfig, Server};
+use hd_serve::{Pending, PendingTopK, Searchable, ServeConfig, Server};
 use hdc::BinaryAm;
 use rand::Rng;
 use std::sync::Arc;
@@ -57,6 +59,20 @@ fn drive(server: &Server, queries: &[BitVector], window: usize) -> usize {
     sum
 }
 
+/// As [`drive`], with every submission asking for its `k` best rows;
+/// the checksum sums every slate's rows.
+fn drive_topk(server: &Server, queries: &[BitVector], window: usize, k: usize) -> usize {
+    let mut sum = 0usize;
+    for chunk in queries.chunks(window) {
+        let pendings: Vec<PendingTopK> =
+            chunk.iter().map(|q| server.submit_topk(q.as_view(), k).expect("submit")).collect();
+        for p in pendings {
+            sum += p.wait().expect("wait").iter().map(|hit| hit.row).sum::<usize>();
+        }
+    }
+    sum
+}
+
 fn bench_serve(c: &mut Criterion) {
     // Provenance for the recorded numbers (see BENCH_search.json).
     eprintln!("hd_linalg kernel backend: {}", hd_linalg::kernel::active());
@@ -90,6 +106,11 @@ fn bench_serve(c: &mut Criterion) {
             BenchmarkId::new("served_1x256", QUERIES),
             &queries,
             |b, queries| b.iter(|| drive(&server, queries, 256)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("served_topk5_1x256", QUERIES),
+            &queries,
+            |b, queries| b.iter(|| drive_topk(&server, queries, 256, 5)),
         );
         server.shutdown();
     }

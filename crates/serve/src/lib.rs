@@ -16,15 +16,16 @@
 //! * **Sharding** ([`ShardedSearcher`]) — a [`hd_linalg::SearchMemory`]'s
 //!   class-row space splits into contiguous, block-aligned row shards,
 //!   each pinned to a worker thread with its own pre-packed blocked
-//!   mirror; per-shard winners merge under the workspace's exact
+//!   mirror; per-shard k-best lists merge under the workspace's exact
 //!   highest-score / lowest-row tie-break.
-//! * **Cascade serving** ([`ShardedSearcher::with_cascade`],
-//!   [`ShardedSearcher::from_am_cascade`] and their `_tuned` variants;
-//!   one shard runs inline) — batches are answered through the
-//!   progressive-precision cascade of `hd_linalg`: dimension prefixes
-//!   first, provably-losing centroids pruned, survivors finished.
-//!   Winners stay bit-identical to the exact adapters; shards prune
-//!   independently and the strict merge is unchanged.
+//! * **Cascade serving** ([`ShardedSearcher::with_cascade`] and
+//!   [`ShardedSearcher::from_am_cascade`], with a plan from
+//!   `hd_linalg::CascadePlan`, hand-picked or `tuned`; one shard runs
+//!   inline) — batches are answered through the progressive-precision
+//!   cascade of `hd_linalg`: dimension prefixes first, provably-losing
+//!   centroids pruned, survivors finished. Answers stay bit-identical to
+//!   the exact adapters; shards prune independently and the strict merge
+//!   is unchanged.
 //! * **Hot model swap** ([`ModelRegistry`]) — the served model lives
 //!   behind an `Arc` snapshot; [`Server::publish`] swaps generations
 //!   atomically while in-flight flushes finish on the snapshot they
@@ -38,7 +39,8 @@
 //!   per-flush with typed error frames for malformed input.
 //!
 //! Any associative memory in the workspace plugs in through the
-//! [`Searchable`] trait: `hdc::BinaryAm`, `memhd::MemhdModel` (its
+//! [`Searchable`] trait, which answers each query with its k-best slate
+//! (the winner is the k=1 view): `hdc::BinaryAm`, `memhd::MemhdModel` (its
 //! quantized AM), `imc_sim::AmMapping` / `FaultyAmMapping`, the four
 //! baselines, raw `hd_linalg::SearchMemory`, or a [`ShardedSearcher`]
 //! wrapping any of their row stores.

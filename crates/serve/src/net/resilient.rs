@@ -267,22 +267,39 @@ impl RetryLedger {
     /// Records that `externals[i]` was submitted under wire id
     /// `first_id + i` on the current epoch.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any index is already delivered or already in flight —
-    /// resubmitting a delivered query would break exactly-once
+    /// Returns [`WireError::Protocol`], leaving the ledger unchanged, if
+    /// any index is out of range, already delivered, or already in
+    /// flight — resubmitting a delivered query would break exactly-once
     /// observability, so this is enforced, not assumed.
-    pub fn record_submission(&mut self, first_id: u64, externals: &[usize]) {
+    pub fn record_submission(
+        &mut self,
+        first_id: u64,
+        externals: &[usize],
+    ) -> Result<(), WireError> {
         for (i, &ext) in externals.iter().enumerate() {
-            assert!(!self.delivered[ext], "ledger invariant: query {ext} already delivered");
-            assert!(
-                self.in_flight_wire[ext].is_none(),
-                "ledger invariant: query {ext} already in flight"
-            );
+            let problem = match (self.delivered.get(ext), self.in_flight_wire.get(ext)) {
+                (Some(false), Some(None)) => None,
+                (Some(true), _) => Some("already delivered"),
+                (Some(false), Some(Some(_))) => Some("already in flight"),
+                _ => Some("out of range"),
+            };
+            if let Some(problem) = problem {
+                // Undo this call's earlier entries; each was pending.
+                for (j, &done) in externals[..i].iter().enumerate() {
+                    self.in_flight_wire[done] = None;
+                    self.wire_to_ext.remove(&(first_id + j as u64));
+                }
+                return Err(WireError::Protocol(format!(
+                    "ledger invariant: query {ext} {problem}"
+                )));
+            }
             let wire_id = first_id + i as u64;
             self.in_flight_wire[ext] = Some(wire_id);
             self.wire_to_ext.insert(wire_id, ext);
         }
+        Ok(())
     }
 
     /// Records a RESPONSE for `wire_id`. Returns the caller-batch index
@@ -532,7 +549,11 @@ fn run_epoch(
             words.extend_from_slice(queries[ext].as_words());
         }
         match conn.send_packed_words(&words, k) {
-            Ok(range) => ledger.record_submission(range.start, chunk),
+            Ok(range) => {
+                if let Err(e) = ledger.record_submission(range.start, chunk) {
+                    return EpochEnd::Fatal(e);
+                }
+            }
             Err(e @ WireError::Protocol(_)) => return EpochEnd::Fatal(e),
             Err(e) => return EpochEnd::ConnectionLost { err: Some(e), progressed },
         }
@@ -616,12 +637,12 @@ mod tests {
     #[test]
     fn ledger_never_resubmits_delivered_ids() {
         let mut ledger = RetryLedger::new(4);
-        ledger.record_submission(0, &[0, 1, 2, 3]);
+        ledger.record_submission(0, &[0, 1, 2, 3]).unwrap();
         assert_eq!(ledger.record_response(1), Some(1));
         // Disconnect: everything unanswered reverts, delivered does not.
         ledger.begin_epoch();
         assert_eq!(ledger.pending(), vec![0, 2, 3]);
-        ledger.record_submission(10, &[0, 2, 3]);
+        ledger.record_submission(10, &[0, 2, 3]).unwrap();
         // Stale id from the old epoch is a no-op duplicate.
         assert_eq!(ledger.record_response(2), None);
         assert_eq!(ledger.record_response(10), Some(0));
@@ -634,7 +655,7 @@ mod tests {
     #[test]
     fn ledger_goaway_reverts_only_unaccepted_ids() {
         let mut ledger = RetryLedger::new(5);
-        ledger.record_submission(0, &[0, 1, 2, 3, 4]);
+        ledger.record_submission(0, &[0, 1, 2, 3, 4]).unwrap();
         // Server accepted ids 0..=1 only.
         assert_eq!(ledger.record_goaway(1), 3);
         assert_eq!(ledger.in_flight(), 2);
@@ -642,7 +663,7 @@ mod tests {
         assert_eq!(ledger.record_response(0), Some(0));
         assert_eq!(ledger.record_response(1), Some(1));
         // GOAWAY_NONE reverts everything in flight.
-        ledger.record_submission(5, &[2, 3, 4]);
+        ledger.record_submission(5, &[2, 3, 4]).unwrap();
         assert_eq!(ledger.record_goaway(GOAWAY_NONE), 3);
         assert_eq!(ledger.in_flight(), 0);
         assert_eq!(ledger.pending(), vec![2, 3, 4]);
@@ -651,7 +672,7 @@ mod tests {
     #[test]
     fn ledger_overload_shed_reverts_to_pending() {
         let mut ledger = RetryLedger::new(2);
-        ledger.record_submission(0, &[0, 1]);
+        ledger.record_submission(0, &[0, 1]).unwrap();
         assert_eq!(ledger.record_unanswered(1), Some(1));
         assert_eq!(ledger.pending(), vec![1]);
         assert_eq!(ledger.record_response(0), Some(0));
@@ -659,13 +680,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already delivered")]
-    fn ledger_panics_on_resubmitting_delivered() {
-        let mut ledger = RetryLedger::new(1);
-        ledger.record_submission(0, &[0]);
+    fn ledger_rejects_resubmitting_delivered_and_unknown_queries() {
+        let mut ledger = RetryLedger::new(2);
+        ledger.record_submission(0, &[0]).unwrap();
+        let in_flight = ledger.record_submission(1, &[1, 0]).unwrap_err();
+        assert!(in_flight.to_string().contains("already in flight"), "{in_flight}");
+        // The rejected call changed nothing: query 1 is still pending.
+        assert_eq!((ledger.pending(), ledger.in_flight()), (vec![1], 1));
         ledger.record_response(0);
         ledger.begin_epoch();
-        ledger.record_submission(1, &[0]);
+        let delivered = ledger.record_submission(2, &[0]).unwrap_err();
+        assert!(delivered.to_string().contains("already delivered"), "{delivered}");
+        let unknown = ledger.record_submission(3, &[1, 2]).unwrap_err();
+        assert!(unknown.to_string().contains("out of range"), "{unknown}");
+        let repeated = ledger.record_submission(5, &[1, 1]).unwrap_err();
+        assert!(repeated.to_string().contains("already in flight"), "{repeated}");
+        assert_eq!((ledger.pending(), ledger.in_flight()), (vec![1], 0));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The model interface the server batches over, plus adapters for every
 //! associative memory in the workspace.
 //!
-//! A [`Searchable`] answers a packed [`QueryBatch`] with one [`Winner`]
-//! per query. The server hands each flush a single `Arc<QueryBatch>` so
-//! sharded implementations can ship the batch to worker threads without
-//! copying; plain implementations just deref.
+//! A [`Searchable`] answers a packed [`QueryBatch`] with each query's
+//! k-best slate ([`Searchable::search_topk`]); the winner is the slate's
+//! first entry, and [`Searchable::search_winners`] is that k=1 view. The
+//! server hands each flush a single `Arc<QueryBatch>` so sharded
+//! implementations can ship the batch to worker threads without copying;
+//! plain implementations just deref.
 //!
 //! Adapters are provided for:
 //!
@@ -23,7 +25,7 @@
 //!   [`hd_baselines::LeHdc`]) via their binary AMs.
 
 use crate::error::{Result, ServeError};
-use hd_linalg::QueryBatch;
+use hd_linalg::{QueryBatch, SearchMemory};
 use std::sync::Arc;
 
 /// The winning centroid of one served query.
@@ -38,8 +40,8 @@ pub struct Winner {
     pub score: u32,
 }
 
-/// A model the serving layer can drive: batched associative search with
-/// the workspace's highest-score / lowest-row winner semantics.
+/// A model the serving layer can drive: batched k-best associative
+/// search with the workspace's highest-score / lowest-row order.
 ///
 /// Implementations must be [`Send`] + [`Sync`]: the deadline flusher and
 /// any submitting thread may execute a flush, and snapshot swaps hand
@@ -52,38 +54,33 @@ pub trait Searchable: Send + Sync {
     fn rows(&self) -> usize;
 
     /// Answers every query of `batch` with its winning row, class, and
-    /// score. The tie-break is the workspace standard: highest score,
-    /// then lowest row.
+    /// score: the first entry of its [`Searchable::search_topk`] slate
+    /// (highest score, then lowest row).
+    ///
+    /// The provided body runs `search_topk(batch, 1)`; implementations
+    /// with a 1-slot path that allocates nothing per query override it.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::DimensionMismatch`] when the batch width
-    /// differs from [`Searchable::dim`], and [`ServeError::Model`] for
-    /// model-internal failures.
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>>;
+    /// As [`Searchable::search_topk`], plus [`ServeError::Model`] when
+    /// the model returns an empty slate.
+    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
+        self.search_topk(batch, 1)?
+            .iter()
+            .map(|slate| slate.first().copied().ok_or_else(empty_slate))
+            .collect()
+    }
 
     /// Answers every query with its `min(k, rows)` best rows, sorted by
-    /// score descending then row ascending — the top-1 entry is exactly
-    /// the [`Searchable::search_winners`] winner.
-    ///
-    /// Every workspace adapter overrides this with the fused bounded
-    /// k-best sweep ([`hd_linalg::SearchMemory::topk_batch`] or its
-    /// layer's equivalent). The provided default only covers `k == 1`
-    /// (via [`Searchable::search_winners`]) so foreign argmax-only
-    /// implementations keep compiling; it reports `k > 1` as a model
-    /// error.
+    /// score descending then row ascending.
     ///
     /// # Errors
     ///
-    /// As [`Searchable::search_winners`], plus
-    /// [`ServeError::InvalidConfig`] when `k == 0`.
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        if k == 1 {
-            return Ok(self.search_winners(batch)?.into_iter().map(|w| vec![w]).collect());
-        }
-        Err(ServeError::Model { reason: "model does not implement top-k search".into() })
-    }
+    /// Returns [`ServeError::InvalidConfig`] when `k == 0`,
+    /// [`ServeError::DimensionMismatch`] when the batch width differs
+    /// from [`Searchable::dim`], and [`ServeError::Model`] for
+    /// model-internal failures.
+    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>>;
 
     /// Shards this model has permanently lost, ascending. Non-empty
     /// means searches answer exactly over the *surviving* rows only —
@@ -94,6 +91,16 @@ pub trait Searchable: Send + Sync {
     fn missing_shards(&self) -> Vec<usize> {
         Vec::new()
     }
+}
+
+/// The error for a slate with no entry to take the winner from.
+pub(crate) fn empty_slate() -> ServeError {
+    ServeError::Model { reason: "model returned an empty top-k slate".into() }
+}
+
+/// Wraps a lower layer's failure as a model error.
+pub(crate) fn model_error(e: impl std::fmt::Display) -> ServeError {
+    ServeError::Model { reason: e.to_string() }
 }
 
 fn check_dim(expected: usize, batch: &QueryBatch) -> Result<()> {
@@ -110,7 +117,40 @@ pub(crate) fn check_topk(k: usize) -> Result<()> {
     Ok(())
 }
 
-impl Searchable for hd_linalg::SearchMemory {
+/// Winners over a row store whose row `r` belongs to class `class(r)`,
+/// through the 1-slot kernel.
+fn memory_winners(
+    memory: &SearchMemory,
+    batch: &QueryBatch,
+    class: impl Fn(usize) -> usize,
+) -> Result<Vec<Winner>> {
+    check_dim(memory.cols(), batch)?;
+    let winners = memory.winners_batch(batch).map_err(model_error)?;
+    Ok(winners.into_iter().map(|(row, score)| Winner { row, class: class(row), score }).collect())
+}
+
+/// The k-best slates over a row store whose row `r` belongs to class
+/// `class(r)`, through the fused top-k sweep.
+fn memory_topk(
+    memory: &SearchMemory,
+    batch: &QueryBatch,
+    k: usize,
+    class: impl Fn(usize) -> usize,
+) -> Result<Vec<Vec<Winner>>> {
+    check_topk(k)?;
+    check_dim(memory.cols(), batch)?;
+    let topk = memory.topk_batch(batch, k).map_err(model_error)?;
+    Ok((0..topk.len())
+        .map(|q| {
+            topk.hits(q)
+                .iter()
+                .map(|&(row, score)| Winner { row, class: class(row), score })
+                .collect()
+        })
+        .collect())
+}
+
+impl Searchable for SearchMemory {
     fn dim(&self) -> usize {
         self.cols()
     }
@@ -120,22 +160,11 @@ impl Searchable for hd_linalg::SearchMemory {
     }
 
     fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(self.cols(), &batch)?;
-        let winners =
-            self.winners_batch(&batch).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners.into_iter().map(|(row, score)| Winner { row, class: row, score }).collect())
+        memory_winners(self, &batch, |row| row)
     }
 
     fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        check_dim(self.cols(), &batch)?;
-        let raw =
-            self.topk_batch(&batch, k).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok((0..raw.len())
-            .map(|q| {
-                raw.hits(q).iter().map(|&(row, score)| Winner { row, class: row, score }).collect()
-            })
-            .collect())
+        memory_topk(self, &batch, k, |row| row)
     }
 }
 
@@ -149,76 +178,12 @@ impl Searchable for hdc::BinaryAm {
     }
 
     fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(self.dim(), &batch)?;
-        let winners = self
-            .search_memory()
-            .winners_batch(&batch)
-            .map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners
-            .into_iter()
-            .map(|(row, score)| Winner { row, class: self.class_of(row), score })
-            .collect())
+        memory_winners(self.search_memory(), &batch, |row| self.class_of(row))
     }
 
     fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        check_dim(self.dim(), &batch)?;
-        let hits =
-            self.search_topk(&batch, k).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(hits
-            .into_iter()
-            .map(|per_query| {
-                per_query
-                    .into_iter()
-                    .map(|h| Winner { row: h.row, class: h.class, score: h.score })
-                    .collect()
-            })
-            .collect())
+        memory_topk(self.search_memory(), &batch, k, |row| self.class_of(row))
     }
-}
-
-impl Searchable for memhd::MemhdModel {
-    fn dim(&self) -> usize {
-        self.binary_am().dim()
-    }
-
-    fn rows(&self) -> usize {
-        self.binary_am().num_centroids()
-    }
-
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        self.binary_am().search_winners(batch)
-    }
-
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        Searchable::search_topk(self.binary_am(), batch, k)
-    }
-}
-
-/// Projects a mapped batch search's results into per-query [`Winner`]s
-/// (shared by the ideal and fault-injected mapping adapters).
-fn winners_from_mapped(stats: &imc_sim::BatchInferenceStats) -> Vec<Winner> {
-    (0..stats.len())
-        .map(|q| {
-            let row = stats.predicted_rows[q];
-            Winner { row, class: stats.predicted_classes[q], score: stats.scores.scores(q)[row] }
-        })
-        .collect()
-}
-
-/// Projects a mapped top-k search's results into per-query [`Winner`]
-/// lists (shared by the ideal and fault-injected mapping adapters).
-fn topk_from_mapped(stats: imc_sim::TopKBatchStats) -> Vec<Vec<Winner>> {
-    stats
-        .hits
-        .into_iter()
-        .map(|per_query| {
-            per_query
-                .into_iter()
-                .map(|h| Winner { row: h.row, class: h.class, score: h.score })
-                .collect()
-        })
-        .collect()
 }
 
 impl Searchable for imc_sim::AmMapping {
@@ -230,104 +195,55 @@ impl Searchable for imc_sim::AmMapping {
         self.num_vectors()
     }
 
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(self.dim(), &batch)?;
-        let stats =
-            self.search_batch(&batch).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners_from_mapped(&stats))
-    }
-
     fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
         check_topk(k)?;
         check_dim(self.dim(), &batch)?;
-        let stats = self
-            .search_batch_topk(&batch, k)
-            .map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(topk_from_mapped(stats))
+        let stats = self.search_batch_topk(&batch, k).map_err(model_error)?;
+        Ok(stats
+            .hits
+            .into_iter()
+            .map(|slate| {
+                slate
+                    .into_iter()
+                    .map(|h| Winner { row: h.row, class: h.class, score: h.score })
+                    .collect()
+            })
+            .collect())
     }
 }
 
-impl Searchable for imc_sim::FaultyAmMapping {
-    fn dim(&self) -> usize {
-        self.as_mapping().dim()
-    }
-
-    fn rows(&self) -> usize {
-        Searchable::rows(self.as_mapping())
-    }
-
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(Searchable::dim(self.as_mapping()), &batch)?;
-        let stats =
-            self.search_batch(&batch).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners_from_mapped(&stats))
-    }
-
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        check_dim(Searchable::dim(self.as_mapping()), &batch)?;
-        let stats = self
-            .search_batch_topk(&batch, k)
-            .map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(topk_from_mapped(stats))
-    }
-}
-
-impl Searchable for imc_sim::ReplicatedAmMapping {
-    fn dim(&self) -> usize {
-        self.majority_mapping().dim()
-    }
-
-    fn rows(&self) -> usize {
-        Searchable::rows(self.majority_mapping())
-    }
-
-    fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        check_dim(Searchable::dim(self.majority_mapping()), &batch)?;
-        let stats =
-            self.search_batch(&batch).map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(winners_from_mapped(&stats))
-    }
-
-    fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        check_dim(Searchable::dim(self.majority_mapping()), &batch)?;
-        let stats = self
-            .search_batch_topk(&batch, k)
-            .map_err(|e| ServeError::Model { reason: e.to_string() })?;
-        Ok(topk_from_mapped(stats))
-    }
-}
-
-/// Implements [`Searchable`] for a baseline model by delegating to its
-/// quantized AM.
-macro_rules! baseline_searchable {
-    ($($ty:ty),* $(,)?) => {$(
+/// Implements [`Searchable`] for a model by forwarding every call to the
+/// associative memory it searches (`$memory` is the accessor).
+macro_rules! forward_searchable {
+    ($($ty:ty => $memory:ident),* $(,)?) => {$(
         impl Searchable for $ty {
             fn dim(&self) -> usize {
-                self.binary_am().dim()
+                Searchable::dim(self.$memory())
             }
 
             fn rows(&self) -> usize {
-                self.binary_am().num_centroids()
+                Searchable::rows(self.$memory())
             }
 
             fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-                self.binary_am().search_winners(batch)
+                Searchable::search_winners(self.$memory(), batch)
             }
 
             fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-                Searchable::search_topk(self.binary_am(), batch, k)
+                Searchable::search_topk(self.$memory(), batch, k)
             }
         }
     )*};
 }
 
-baseline_searchable!(
-    hd_baselines::BasicHdc,
-    hd_baselines::QuantHd,
-    hd_baselines::SearcHd,
-    hd_baselines::LeHdc,
+forward_searchable!(
+    memhd::MemhdModel => binary_am,
+    hd_baselines::BasicHdc => binary_am,
+    hd_baselines::QuantHd => binary_am,
+    hd_baselines::SearcHd => binary_am,
+    hd_baselines::LeHdc => binary_am,
+    imc_sim::FaultyAmMapping => as_mapping,
+    imc_sim::ReplicatedAmMapping => majority_mapping,
 );
 
 #[cfg(test)]
@@ -365,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn adapters_agree_on_topk_and_default_covers_only_k1() {
+    fn adapters_agree_on_topk_and_default_winners_take_the_first_entry() {
         let mem = SearchMemory::from_rows(&[
             bits(&[1, 1, 0, 0]),
             bits(&[0, 0, 1, 1]),
@@ -386,28 +302,42 @@ mod tests {
         );
         assert!(Searchable::search_topk(&mem, Arc::clone(&batch), 0).is_err());
 
-        // A foreign argmax-only implementation keeps working at k == 1
-        // through the provided default, and reports k > 1 as a model
-        // error instead of answering wrongly.
-        struct ArgmaxOnly(SearchMemory);
-        impl Searchable for ArgmaxOnly {
+        // A foreign top-k-only implementation gets its winners from the
+        // provided k=1 view: each slate's first entry.
+        struct TopKOnly(SearchMemory);
+        impl Searchable for TopKOnly {
             fn dim(&self) -> usize {
                 self.0.cols()
             }
             fn rows(&self) -> usize {
                 self.0.rows()
             }
-            fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-                self.0.search_winners(batch)
+            fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
+                Searchable::search_topk(&self.0, batch, k)
             }
         }
-        let foreign = ArgmaxOnly(mem.clone());
-        let top1 = foreign.search_topk(Arc::clone(&batch), 1).unwrap();
-        assert_eq!(top1[0], vec![Winner { row: 0, class: 0, score: 2 }]);
-        assert!(matches!(
-            foreign.search_topk(Arc::clone(&batch), 2),
-            Err(ServeError::Model { .. })
-        ));
+        let foreign = TopKOnly(mem.clone());
+        assert_eq!(
+            foreign.search_winners(Arc::clone(&batch)).unwrap(),
+            vec![Winner { row: 0, class: 0, score: 2 }]
+        );
+        assert_eq!(foreign.search_topk(Arc::clone(&batch), 2).unwrap()[0], lists[0][..2]);
+
+        // An empty slate has no winner: a typed model error, never an
+        // index panic.
+        struct EmptySlates;
+        impl Searchable for EmptySlates {
+            fn dim(&self) -> usize {
+                4
+            }
+            fn rows(&self) -> usize {
+                1
+            }
+            fn search_topk(&self, batch: Arc<QueryBatch>, _k: usize) -> Result<Vec<Vec<Winner>>> {
+                Ok(vec![Vec::new(); batch.len()])
+            }
+        }
+        assert!(matches!(EmptySlates.search_winners(batch), Err(ServeError::Model { .. })));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use crate::error::{Result, ServeError};
 use crate::registry::ModelRegistry;
-use crate::searchable::Searchable;
+use crate::searchable::{empty_slate, Searchable, Winner};
 use hd_linalg::{BitView, QueryBatch, QueryBatchBuilder};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -100,13 +100,44 @@ pub struct Prediction {
     pub degraded: bool,
 }
 
-/// What one flush produced for one query: the argmax winner, or the
-/// k-best slate of the whole cycle (every waiter truncates the shared
-/// slate to its own `k` — top-k lists are prefix-monotone in `k`).
-#[derive(Debug, Clone)]
-enum Answer {
-    Winner(Prediction),
-    TopK(Vec<Prediction>),
+/// What one flush produced for its whole cycle: every query's k-best
+/// slate at the cycle's largest k, flat, plus the stamps each
+/// [`Prediction`] carries. Waiters truncate their slate to their own `k`
+/// (k-best slates are prefix-monotone in `k`); a plain submission takes
+/// the first entry.
+#[derive(Debug)]
+struct Slates {
+    /// Every query's slate, in submission order.
+    hits: Vec<Winner>,
+    /// Exclusive end of each query's slate in `hits`; empty for a k=1
+    /// cycle, whose slates are one entry each.
+    ends: Vec<usize>,
+    /// Model generation that answered the cycle.
+    generation: u64,
+    /// Whether the model reported missing shards after the sweep.
+    degraded: bool,
+}
+
+impl Slates {
+    /// Query `index`'s slate. The flush checked that the model answered
+    /// every query of the cycle.
+    fn slate(&self, index: usize) -> &[Winner] {
+        if self.ends.is_empty() {
+            return std::slice::from_ref(&self.hits[index]);
+        }
+        let start = if index == 0 { 0 } else { self.ends[index - 1] };
+        &self.hits[start..self.ends[index]]
+    }
+
+    fn predict(&self, w: &Winner) -> Prediction {
+        Prediction {
+            row: w.row,
+            class: w.class,
+            score: w.score,
+            generation: self.generation,
+            degraded: self.degraded,
+        }
+    }
 }
 
 /// Shared completion state of one batch cycle: every query queued into
@@ -115,9 +146,9 @@ enum Answer {
 /// answered results are published once through an [`OnceLock`] so
 /// pipelined waiters read them lock-free.
 struct BatchState {
-    /// One entry per queued query, in submission order. Written exactly
-    /// once, by the flush that answers the batch.
-    results: std::sync::OnceLock<Vec<Result<Answer>>>,
+    /// The cycle's answers, or the error that failed the whole flush.
+    /// Written exactly once, by the flush that answers the batch.
+    results: std::sync::OnceLock<Result<Slates>>,
     /// Whether any waiter parked on `cv` before the results landed.
     parked: Mutex<bool>,
     cv: Condvar,
@@ -133,7 +164,7 @@ impl BatchState {
     }
 
     /// Publishes the batch's results and wakes any parked waiters.
-    fn fill(&self, results: Vec<Result<Answer>>) {
+    fn fill(&self, results: Result<Slates>) {
         self.results.set(results).expect("each batch is flushed exactly once");
         // Synchronize with parkers: a waiter either sees the results on
         // its lock-free check, or sets `parked` under the lock and then
@@ -177,34 +208,27 @@ impl Pending {
     /// handle's deadline expired first (the query itself is still
     /// answered server-side; only this waiter gave up).
     pub fn wait(self) -> Result<Prediction> {
-        // A plain submission sharing a cycle with top-k submissions is
-        // answered from the cycle's shared slate; its winner is the
-        // slate's top-1 entry (identical tie-break). A foreign model
-        // returning an empty slate is a typed error, never an index
-        // panic in the waiter.
-        wait_for(&self.batch, self.index, self.deadline).and_then(|answer| match answer {
-            Answer::Winner(p) => Ok(p),
-            Answer::TopK(slate) => slate.first().copied().ok_or_else(|| ServeError::Model {
-                reason: "model returned an empty top-k slate".into(),
-            }),
-        })
+        // The winner is the slate's first entry, whatever k the cycle
+        // ran at. A foreign model returning an empty slate is a typed
+        // error, never an index panic in the waiter.
+        let slates = wait_for(&self.batch, self.deadline)?;
+        slates.slate(self.index).first().map(|w| slates.predict(w)).ok_or_else(empty_slate)
     }
 }
 
-/// Blocks until `batch`'s results land, then clones entry `index`. With
-/// a deadline, gives up with [`ServeError::Timeout`] once it passes —
-/// the batch state stays alive (the flush still fills it), only this
-/// waiter stops waiting.
-fn wait_for(batch: &BatchState, index: usize, deadline: Option<Instant>) -> Result<Answer> {
+/// Blocks until `batch`'s results land. With a deadline, gives up with
+/// [`ServeError::Timeout`] once it passes — the batch state stays alive
+/// (the flush still fills it), only this waiter stops waiting.
+fn wait_for(batch: &BatchState, deadline: Option<Instant>) -> Result<&Slates> {
     if let Some(results) = batch.results.get() {
-        return results[index].clone();
+        return results.as_ref().map_err(ServeError::clone);
     }
     let mut parked = batch.parked.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
         // Re-check under the lock: fill() takes it after publishing,
         // so a result published before we parked is visible here.
         if let Some(results) = batch.results.get() {
-            return results[index].clone();
+            return results.as_ref().map_err(ServeError::clone);
         }
         *parked = true;
         match deadline {
@@ -251,14 +275,9 @@ impl PendingTopK {
     /// As [`Pending::wait`], including [`ServeError::Timeout`] for
     /// deadline submissions.
     pub fn wait(self) -> Result<Vec<Prediction>> {
-        wait_for(&self.batch, self.index, self.deadline).map(|answer| match answer {
-            // A k == 1 submission can land in a winners-only cycle.
-            Answer::Winner(p) => vec![p],
-            Answer::TopK(mut slate) => {
-                slate.truncate(self.k);
-                slate
-            }
-        })
+        let slates = wait_for(&self.batch, self.deadline)?;
+        let slate = slates.slate(self.index);
+        Ok(slate[..slate.len().min(self.k)].iter().map(|w| slates.predict(w)).collect())
     }
 }
 
@@ -357,16 +376,6 @@ impl Shared {
             FlushKind::Full => self.stats.full_flushes.fetch_add(1, Ordering::Relaxed),
             FlushKind::Deadline => self.stats.deadline_flushes.fetch_add(1, Ordering::Relaxed),
         };
-        let generation = snapshot.id();
-        let predict = move |w: &crate::searchable::Winner| Prediction {
-            row: w.row,
-            class: w.class,
-            score: w.score,
-            generation,
-            // Filled in after the sweep from the post-search shard
-            // health sample (see below).
-            degraded: false,
-        };
         // A panicking model must not unwind past the batch state: the
         // batch was already taken out of the queue, so an unfilled state
         // would strand its waiters forever — and a panic on the flusher
@@ -374,18 +383,20 @@ impl Shared {
         // shutdown drain. Contain it and answer the batch with an error.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let batch = Arc::new(batch);
+            // A k=1 cycle takes the model's 1-slot winners path, which
+            // allocates nothing per query.
             if max_k == 1 {
-                snapshot.model().search_winners(batch).map(|winners| {
-                    winners.iter().map(|w| Answer::Winner(predict(w))).collect::<Vec<_>>()
-                })
-            } else {
-                snapshot.model().search_topk(batch, max_k).map(|slates| {
-                    slates
-                        .into_iter()
-                        .map(|slate| Answer::TopK(slate.iter().map(&predict).collect()))
-                        .collect::<Vec<_>>()
-                })
+                return snapshot.model().search_winners(batch).map(|hits| (hits, Vec::new()));
             }
+            snapshot.model().search_topk(batch, max_k).map(|slates| {
+                let mut hits = Vec::with_capacity(slates.iter().map(Vec::len).sum());
+                let mut ends = Vec::with_capacity(slates.len());
+                for slate in slates {
+                    hits.extend(slate);
+                    ends.push(hits.len());
+                }
+                (hits, ends)
+            })
         }))
         .unwrap_or_else(|payload| {
             let what = payload
@@ -395,46 +406,33 @@ impl Shared {
                 .unwrap_or_else(|| "non-string panic payload".into());
             Err(ServeError::Model { reason: format!("model panicked during flush: {what}") })
         });
-        let results: Vec<Result<Answer>> = match result {
-            Ok(answers) if answers.len() == queries => {
-                // Sample shard health *after* the sweep: degradation is
-                // monotone within a generation, so a shard that died
-                // mid-search (making this sweep answer from the
-                // surviving rows only) is visible here. The converse
-                // race — a shard dying right after a complete sweep —
-                // only over-flags, never under-flags.
-                let mut answers = answers;
-                if !snapshot.model().missing_shards().is_empty() {
-                    self.stats.degraded_queries.fetch_add(queries as u64, Ordering::Relaxed);
-                    for answer in &mut answers {
-                        match answer {
-                            Answer::Winner(p) => p.degraded = true,
-                            Answer::TopK(slate) => {
-                                slate.iter_mut().for_each(|p| p.degraded = true);
-                            }
-                        }
-                    }
-                }
-                answers.into_iter().map(Ok).collect()
+        let results = result.and_then(|(hits, ends)| {
+            let answered = if max_k == 1 { hits.len() } else { ends.len() };
+            if answered != queries {
+                return Err(ServeError::Model {
+                    reason: format!("model returned {answered} answers for {queries} queries"),
+                });
             }
-            Ok(answers) => {
-                let err = ServeError::Model {
-                    reason: format!(
-                        "model returned {} answers for {queries} queries",
-                        answers.len()
-                    ),
-                };
-                vec![Err(err); queries]
+            // Sample shard health *after* the sweep: degradation is
+            // monotone within a generation, so a shard that died
+            // mid-search (making this sweep answer from the surviving
+            // rows only) is visible here. The converse race — a shard
+            // dying right after a complete sweep — only over-flags, never
+            // under-flags.
+            let degraded = !snapshot.model().missing_shards().is_empty();
+            if degraded {
+                self.stats.degraded_queries.fetch_add(queries as u64, Ordering::Relaxed);
             }
-            Err(e) => vec![Err(e); queries],
-        };
-        state.fill(results);
-        // Release the admission slots only after the results are
-        // published: a freed slot means a new submission can take the
-        // answered query's place in the next cycle.
+            Ok(Slates { hits, ends, generation: snapshot.id(), degraded })
+        });
+        // Release the admission slots once the answers exist, and before
+        // they are published: a freed slot means a new submission can
+        // take the answered query's place in the next cycle, and a waiter
+        // that sees its answer also sees its slot freed.
         if self.config.max_in_flight != 0 {
             self.in_flight.fetch_sub(queries as u64, Ordering::Relaxed);
         }
+        state.fill(results);
     }
 }
 
@@ -980,48 +978,73 @@ mod tests {
         )
         .unwrap();
         let queries = random_queries(12, 128, 12);
-        // One pipelined window mixing plain argmax submissions with
-        // top-k asks of different depths (including k > rows, which
-        // clamps): the flush answers the cycle at the largest pending k
-        // and every handle truncates back to its own.
-        let ks = [1usize, 3, 7, 45];
-        let mut plain = Vec::new();
-        let mut ranked = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            if i % 2 == 0 {
-                plain.push((i, server.submit(q.as_view()).unwrap()));
-            } else {
-                let k = ks[(i / 2) % ks.len()];
-                ranked.push((i, k, server.submit_topk(q.as_view(), k).unwrap()));
-            }
-        }
         let batch = hd_linalg::QueryBatch::from_vectors(&queries).unwrap();
-        let reference = am.search_topk(&batch, 45).unwrap();
-        for (i, p) in plain {
-            let got = p.wait().unwrap();
-            let want = &reference[i][0];
-            assert_eq!((got.row, got.class, got.score), (want.row, want.class, want.score));
-        }
-        for (i, k, p) in ranked {
-            let slate = p.wait().unwrap();
-            assert_eq!(slate.len(), k.min(am.num_centroids()), "query {i} k {k}");
-            for (got, want) in slate.iter().zip(&reference[i]) {
-                assert_eq!(
-                    (got.row, got.class, got.score),
-                    (want.row, want.class, want.score),
-                    "query {i} k {k}"
-                );
-                assert_eq!(got.generation, 1);
+        // Generation 1 serves the AM itself. Generation 2 serves a
+        // 2-shard searcher over the same rows whose shard 0 has died for
+        // good: every prediction of its cycles, plain or top-k, must
+        // carry the cycle's generation and the degraded flag.
+        let degraded = crate::ShardedSearcher::from_am(&am, 2).unwrap();
+        degraded.inject_shard_panics(0, 100).unwrap();
+        let degraded_reference =
+            Searchable::search_topk(&degraded, Arc::new(batch.clone()), 45).unwrap();
+        assert_eq!(degraded.missing_shards(), vec![0]);
+        let references: [Vec<Vec<(usize, usize, u32)>>; 2] = [
+            am.search_topk(&batch, 45)
+                .unwrap()
+                .iter()
+                .map(|slate| slate.iter().map(|h| (h.row, h.class, h.score)).collect())
+                .collect(),
+            degraded_reference
+                .iter()
+                .map(|slate| slate.iter().map(|w| (w.row, w.class, w.score)).collect())
+                .collect(),
+        ];
+        let degraded: Arc<dyn Searchable> = Arc::new(degraded);
+        for (generation, reference) in [1u64, 2].into_iter().zip(&references) {
+            if generation == 2 {
+                assert_eq!(server.publish(Arc::clone(&degraded)).unwrap(), 2);
             }
+            let is_degraded = generation == 2;
+            // One pipelined window mixing plain argmax submissions with
+            // top-k asks of different depths (including k > rows, which
+            // clamps): the flush answers the cycle at the largest pending
+            // k and every handle truncates back to its own.
+            let ks = [1usize, 3, 7, 45];
+            let mut plain = Vec::new();
+            let mut ranked = Vec::new();
+            for (i, q) in queries.iter().enumerate() {
+                if i % 2 == 0 {
+                    plain.push((i, server.submit(q.as_view()).unwrap()));
+                } else {
+                    let k = ks[(i / 2) % ks.len()];
+                    ranked.push((i, k, server.submit_topk(q.as_view(), k).unwrap()));
+                }
+            }
+            for (i, p) in plain {
+                let got = p.wait().unwrap();
+                assert_eq!((got.row, got.class, got.score), reference[i][0]);
+                assert_eq!((got.generation, got.degraded), (generation, is_degraded), "query {i}");
+            }
+            for (i, k, p) in ranked {
+                let slate = p.wait().unwrap();
+                assert_eq!(slate.len(), k.min(reference[i].len()), "query {i} k {k}");
+                for (got, want) in slate.iter().zip(&reference[i]) {
+                    assert_eq!((got.row, got.class, got.score), *want, "query {i} k {k}");
+                    assert_eq!(
+                        (got.generation, got.degraded),
+                        (generation, is_degraded),
+                        "query {i} k {k}"
+                    );
+                }
+            }
+            assert!(server.submit_topk(queries[0].as_view(), 0).is_err());
+            // The blocking convenience returns the same slate.
+            let slate = server.classify_topk(queries[0].as_view(), 3).unwrap();
+            let got: Vec<(usize, usize, u32)> =
+                slate.iter().map(|p| (p.row, p.class, p.score)).collect();
+            assert_eq!(got, reference[0][..3]);
+            assert!(slate.iter().all(|p| p.degraded == is_degraded));
         }
-        assert!(server.submit_topk(queries[0].as_view(), 0).is_err());
-        // The blocking convenience returns the same slate.
-        let slate = server.classify_topk(queries[0].as_view(), 3).unwrap();
-        let want: Vec<(usize, usize, u32)> =
-            reference[0][..3].iter().map(|h| (h.row, h.class, h.score)).collect();
-        let got: Vec<(usize, usize, u32)> =
-            slate.iter().map(|p| (p.row, p.class, p.score)).collect();
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -1112,10 +1135,11 @@ mod tests {
             fn rows(&self) -> usize {
                 1
             }
-            fn search_winners(
+            fn search_topk(
                 &self,
                 _batch: Arc<hd_linalg::QueryBatch>,
-            ) -> Result<Vec<crate::Winner>> {
+                _k: usize,
+            ) -> Result<Vec<Vec<crate::Winner>>> {
                 panic!("synthetic model failure");
             }
         }
@@ -1167,12 +1191,6 @@ mod tests {
             }
             fn rows(&self) -> usize {
                 4
-            }
-            fn search_winners(
-                &self,
-                batch: Arc<hd_linalg::QueryBatch>,
-            ) -> Result<Vec<crate::Winner>> {
-                Ok(vec![crate::Winner { row: 0, class: 0, score: 0 }; batch.len()])
             }
             fn search_topk(
                 &self,

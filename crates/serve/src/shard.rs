@@ -5,16 +5,18 @@
 //! [`SearchMemory::split_rows`]); each shard owns its rows **and its own
 //! pre-packed blocked mirror**, and — when more than one shard exists —
 //! is pinned to a dedicated worker thread that lives for the searcher's
-//! lifetime. A flush sends the shared `Arc<QueryBatch>` to every worker,
-//! collects per-shard winners, and merges them in ascending-shard order
-//! with a strict `>` comparison, which reproduces the global
-//! highest-score / lowest-row tie-break exactly (the property the SIMD
-//! equivalence suite pins for the underlying kernels).
+//! lifetime. A search sends the shared `Arc<QueryBatch>` and its `k` to
+//! every worker, collects each shard's k-best lists, and merges them in
+//! ascending-shard order with a strict `>` comparison, which reproduces
+//! the global highest-score / lowest-row tie-break exactly (the property
+//! the SIMD equivalence suite pins for the underlying kernels). Winners
+//! are the k=1 case: the shards run the 1-slot winners kernel and the
+//! merge writes one entry per query.
 //!
 //! [`ShardedSearcher::with_cascade`] runs a [`CascadePlan`] inside every
 //! shard instead of the exact sweep: shards prune independently against
-//! their own rows, and because each shard's cascade winners are
-//! bit-identical to its exact winners, the strict merge is untouched and
+//! their own rows, and because each shard's cascade lists are
+//! bit-identical to its exact lists, the strict merge is untouched and
 //! the sharded cascade equals the unsharded search exactly.
 //!
 //! # Worker supervision
@@ -32,51 +34,29 @@
 //! the whole request — only worker *death* degrades.
 
 use crate::error::{Result, ServeError};
-use crate::searchable::{check_topk, Searchable, Winner};
-use hd_linalg::{BoundCascade, CascadePlan, QueryBatch, SearchMemory};
+use crate::searchable::{check_topk, model_error, Searchable, Winner};
+use hd_linalg::{BoundCascade, CascadePlan, CascadeTopK, QueryBatch, SearchMemory, TopK};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-/// What one flush asks each shard to compute.
-#[derive(Clone, Copy)]
-enum ShardTask {
-    /// The argmax winner per query.
-    Winners,
-    /// The `min(k, shard rows)` best rows per query.
-    TopK(usize),
-}
-
-/// A shard's answer, matching the dispatched [`ShardTask`] variant.
-enum ShardAnswer {
-    Winners(Vec<(usize, u32)>),
-    TopK(Vec<Vec<(usize, u32)>>),
-}
-
-/// One shard's per-query `(local_row, score)` winners in the merge
-/// input, `None` when the shard has degraded out.
-type ShardWinners = Option<Vec<(usize, u32)>>;
-
-/// One shard's per-query score-descending k-best lists in the merge
-/// input, `None` when the shard has degraded out.
-type ShardTopKLists = Option<Vec<Vec<(usize, u32)>>>;
-
-/// What a worker computed for one job: the shard-local answer (or the
-/// deterministic kernel failure), or the panic that killed the worker.
+/// What a worker computed for one job: the shard-local k-best lists (or
+/// the deterministic kernel failure), or the panic that killed the
+/// worker.
 enum ShardOutcome {
-    Answer(hd_linalg::Result<ShardAnswer>),
+    Answer(hd_linalg::Result<TopK>),
     Panicked(String),
 }
 
 /// What a worker posts back per job: its shard index plus the outcome.
 type ShardReply = (usize, ShardOutcome);
 
-/// One dispatched unit of shard work: the shared batch, the task, and
-/// the reply channel the worker posts a [`ShardReply`] to.
+/// One dispatched unit of shard work: the shared batch, its `k`, and the
+/// reply channel the worker posts a [`ShardReply`] to.
 struct Job {
     batch: Arc<QueryBatch>,
-    task: ShardTask,
+    k: usize,
     reply: SyncSender<ShardReply>,
 }
 
@@ -99,7 +79,7 @@ struct Shard {
     memory: Arc<SearchMemory>,
     /// The cascade plan bound to this shard's rows (prefix sub-memory
     /// and row-suffix table derived once at construction); `None` runs
-    /// the exact winners sweep.
+    /// the exact sweep.
     cascade: Option<Arc<BoundCascade>>,
     /// Worker supervision state; `None` when the searcher runs shards
     /// inline (single shard, or worker spawn disabled).
@@ -144,7 +124,7 @@ fn spawn_worker(
                     {
                         panic!("injected chaos panic");
                     }
-                    shard_answer(&memory, &job.batch, cascade.as_deref(), job.task)
+                    shard_answer(&memory, &job.batch, cascade.as_deref(), job.k)
                 }));
                 match outcome {
                     Ok(answer) => {
@@ -169,42 +149,30 @@ fn spawn_worker(
     Ok((tx, handle))
 }
 
-/// Shard-local answer: the exact winners / fused top-k sweep, or the
-/// bound cascade equivalents when a plan is installed. Both paths
-/// produce bit-identical results; only the activation cost differs, and
-/// neither re-packs anything.
+/// Shard-local k-best lists: the fused top-k sweep, or the bound cascade
+/// when a plan is installed. Both produce bit-identical lists; only the
+/// activation cost differs, neither re-packs anything, and `k == 1` runs
+/// the 1-slot winners kernel either way.
 fn shard_answer(
     memory: &SearchMemory,
     batch: &QueryBatch,
     cascade: Option<&BoundCascade>,
-    task: ShardTask,
-) -> hd_linalg::Result<ShardAnswer> {
-    match (task, cascade) {
-        (ShardTask::Winners, Some(bound)) => {
-            bound.search(batch).map(|r| ShardAnswer::Winners(r.into_winners()))
-        }
-        (ShardTask::Winners, None) => memory.winners_batch(batch).map(ShardAnswer::Winners),
-        (ShardTask::TopK(k), Some(bound)) => {
-            bound.search_topk(batch, k).map(|r| ShardAnswer::TopK(r.into_topk().into_vecs()))
-        }
-        (ShardTask::TopK(k), None) => {
-            memory.topk_batch(batch, k).map(|t| ShardAnswer::TopK(t.into_vecs()))
-        }
+    k: usize,
+) -> hd_linalg::Result<TopK> {
+    match cascade {
+        Some(bound) => bound.search_topk(batch, k).map(CascadeTopK::into_topk),
+        None => memory.topk_batch(batch, k),
     }
 }
 
 /// Rejects a shard answer whose length disagrees with the batch — the
-/// invariant the merge paths index on (`winners[q]` / `lists[q]`). The
-/// search kernels uphold it by construction; converting a violation into
-/// a typed error here means a buggy kernel degrades one request instead
-/// of panicking the calling thread (which, on a direct
-/// [`ShardedSearcher`] user outside [`crate::Server`]'s catch_unwind,
-/// would unwind into the caller).
-fn check_answer_len(answer: &ShardAnswer, queries: usize, shard: usize) -> Result<()> {
-    let got = match answer {
-        ShardAnswer::Winners(w) => w.len(),
-        ShardAnswer::TopK(lists) => lists.len(),
-    };
+/// invariant the merge indexes on (`hits(q)`). The search kernels uphold
+/// it by construction; converting a violation into a typed error here
+/// means a buggy kernel degrades one request instead of panicking the
+/// calling thread (which, on a direct [`ShardedSearcher`] user outside
+/// [`crate::Server`]'s catch_unwind, would unwind into the caller).
+fn check_answer_len(answer: &TopK, queries: usize, shard: usize) -> Result<()> {
+    let got = answer.len();
     if got != queries {
         return Err(ServeError::Model {
             reason: format!("shard {shard} answered {got} queries for a {queries}-query batch"),
@@ -237,7 +205,7 @@ pub struct ShardedSearcher {
     rows: usize,
     /// Global row → class label.
     classes: Arc<Vec<usize>>,
-    /// Stage plan each shard runs (`None` = exact winners sweep).
+    /// Stage plan each shard runs (`None` = exact sweep).
     plan: Option<Arc<CascadePlan>>,
     shards: Vec<Shard>,
     /// Join handles of every worker ever spawned (respawns append from
@@ -375,29 +343,6 @@ impl ShardedSearcher {
         ShardedSearcher::new(am.search_memory().clone(), am.class_labels().to_vec(), num_shards)
     }
 
-    /// Like [`ShardedSearcher::with_cascade`] but the stage plan is
-    /// auto-tuned from a sample of real queries before sharding
-    /// ([`CascadePlan::tuned`] on the whole memory): every shard then
-    /// runs the same tuned plan against its own rows, so the merged
-    /// winners stay bit-identical to the unsharded search under any plan
-    /// the tuner picks.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSearcher::with_cascade`], plus
-    /// [`ServeError::InvalidConfig`] when tuning rejects the sample
-    /// (empty, or off-dimension).
-    pub fn with_cascade_tuned(
-        memory: SearchMemory,
-        classes: Vec<usize>,
-        num_shards: usize,
-        sample: &QueryBatch,
-    ) -> Result<Self> {
-        let plan = CascadePlan::tuned(&memory, sample)
-            .map_err(|e| ServeError::InvalidConfig { reason: e.to_string() })?;
-        Self::with_cascade(memory, classes, num_shards, plan)
-    }
-
     /// Builds a cascade-mode sharded searcher over a [`hdc::BinaryAm`].
     ///
     /// # Errors
@@ -413,24 +358,6 @@ impl ShardedSearcher {
             am.class_labels().to_vec(),
             num_shards,
             plan,
-        )
-    }
-
-    /// [`ShardedSearcher::with_cascade_tuned`] over a [`hdc::BinaryAm`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSearcher::with_cascade_tuned`].
-    pub fn from_am_cascade_tuned(
-        am: &hdc::BinaryAm,
-        num_shards: usize,
-        sample: &QueryBatch,
-    ) -> Result<Self> {
-        ShardedSearcher::with_cascade_tuned(
-            am.search_memory().clone(),
-            am.class_labels().to_vec(),
-            num_shards,
-            sample,
         )
     }
 
@@ -497,14 +424,14 @@ impl ShardedSearcher {
         Ok(())
     }
 
-    /// Sends one `task` job for shard `idx` to its worker, respawning on
+    /// Sends one k-best job for shard `idx` to its worker, respawning on
     /// a dead channel. Returns the worker generation the job landed on,
     /// or `None` when the shard is (or just became) degraded.
     fn dispatch(
         &self,
         idx: usize,
         batch: &Arc<QueryBatch>,
-        task: ShardTask,
+        k: usize,
         reply: &SyncSender<ShardReply>,
     ) -> Option<u64> {
         let shard = &self.shards[idx];
@@ -512,7 +439,7 @@ impl ShardedSearcher {
         let mut sup = sup.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             let sender = sup.jobs.as_ref()?;
-            let job = Job { batch: Arc::clone(batch), task, reply: reply.clone() };
+            let job = Job { batch: Arc::clone(batch), k, reply: reply.clone() };
             if sender.send(job).is_ok() {
                 return Some(sup.generation);
             }
@@ -564,11 +491,11 @@ impl ShardedSearcher {
         self.respawn_locked(idx, &mut sup)
     }
 
-    /// Runs `task` on every shard — inline when no workers exist, else
-    /// fanned out to the pinned workers under death-and-respawn
-    /// supervision — and collects the answers in shard order. A degraded
-    /// shard yields `None`; the merge then answers exactly over the
-    /// surviving rows.
+    /// Runs the k-best search on every shard — inline when no workers
+    /// exist, else fanned out to the pinned workers under
+    /// death-and-respawn supervision — and collects the answers in shard
+    /// order. A degraded shard yields `None`; the merge then answers
+    /// exactly over the surviving rows.
     ///
     /// Collection is round-based: every round opens a **fresh** reply
     /// channel, dispatches the still-unanswered shards, drops its own
@@ -576,17 +503,12 @@ impl ShardedSearcher {
     /// either the worker replied, or it died and dropped the queued job
     /// (so a dead worker can never block the round). Shards whose
     /// workers died are revived (or degraded) and retried next round.
-    fn per_shard_answers(
-        &self,
-        batch: &Arc<QueryBatch>,
-        task: ShardTask,
-    ) -> Result<Vec<Option<ShardAnswer>>> {
-        let mut per_shard: Vec<Option<ShardAnswer>> =
-            (0..self.shards.len()).map(|_| None).collect();
+    fn per_shard_answers(&self, batch: &Arc<QueryBatch>, k: usize) -> Result<Vec<Option<TopK>>> {
+        let mut per_shard: Vec<Option<TopK>> = (0..self.shards.len()).map(|_| None).collect();
         if !self.has_workers() {
             for (idx, (slot, shard)) in per_shard.iter_mut().zip(&self.shards).enumerate() {
-                let answer = shard_answer(&shard.memory, batch, shard.cascade.as_deref(), task)
-                    .map_err(|e| ServeError::Model { reason: e.to_string() })?;
+                let answer = shard_answer(&shard.memory, batch, shard.cascade.as_deref(), k)
+                    .map_err(model_error)?;
                 check_answer_len(&answer, batch.len(), idx)?;
                 *slot = Some(answer);
             }
@@ -599,7 +521,7 @@ impl ShardedSearcher {
             let (reply_tx, reply_rx) = mpsc::sync_channel(pending.len());
             let mut dispatched: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
             for idx in pending.drain(..) {
-                match self.dispatch(idx, batch, task, &reply_tx) {
+                match self.dispatch(idx, batch, k, &reply_tx) {
                     Some(generation) => dispatched.push((idx, generation)),
                     None => dead[idx] = true,
                 }
@@ -608,8 +530,7 @@ impl ShardedSearcher {
             for (idx, outcome) in reply_rx.iter() {
                 match outcome {
                     ShardOutcome::Answer(answer) => {
-                        let answer =
-                            answer.map_err(|e| ServeError::Model { reason: e.to_string() })?;
+                        let answer = answer.map_err(model_error)?;
                         check_answer_len(&answer, batch.len(), idx)?;
                         per_shard[idx] = Some(answer);
                     }
@@ -637,71 +558,53 @@ impl ShardedSearcher {
         Ok(per_shard)
     }
 
-    /// Merges per-shard winners (ordered by ascending shard) into global
-    /// winners. Indexing `winners[q]` cannot panic: every present answer
-    /// was length-checked against the batch by `check_answer_len`.
-    /// Strict `>` keeps the earliest (lowest-offset) shard on
-    /// ties, and each shard's local winner already carries its own
-    /// lowest-row tie-break, so the merged winner is exactly the
-    /// unsharded one. Degraded shards (`None`) simply don't compete:
-    /// the winner is exact over the surviving rows.
-    fn merge(&self, per_shard: Vec<ShardWinners>, queries: usize) -> Vec<Winner> {
-        (0..queries)
-            .map(|q| {
-                let mut best = (0usize, 0u32);
-                let mut first = true;
-                for (shard, winners) in self.shards.iter().zip(&per_shard) {
-                    let Some(winners) = winners else { continue };
-                    let (local_row, score) = winners[q];
-                    if first || score > best.1 {
-                        best = (shard.offset + local_row, score);
-                        first = false;
-                    }
-                }
-                Winner { row: best.0, class: self.classes[best.0], score: best.1 }
-            })
-            .collect()
-    }
-
-    /// Merges per-shard k-best lists (ordered by ascending shard) into
-    /// the global k-best. Equal scores insert after their peers and
-    /// shards contribute in ascending-offset order (each shard list
-    /// already score-descending / local-row-ascending), so the merged
-    /// slate carries the global highest-score / lowest-row tie-break
-    /// exactly — bit-identical to the unsharded top-k. Degraded shards
-    /// (`None`) contribute nothing: the slate is exact over the
-    /// surviving rows (and may come up short of `k`).
-    fn merge_topk(
-        &self,
-        per_shard: Vec<ShardTopKLists>,
-        queries: usize,
-        k: usize,
-    ) -> Vec<Vec<Winner>> {
-        let k = k.min(self.rows);
-        (0..queries)
-            .map(|q| {
-                let mut slots: Vec<(usize, u32)> = Vec::with_capacity(k);
-                for (shard, lists) in self.shards.iter().zip(&per_shard) {
-                    let Some(lists) = lists else { continue };
-                    for &(local_row, score) in &lists[q] {
-                        if slots.len() == k {
-                            if score <= slots[k - 1].1 {
-                                // Shard lists are score-descending:
-                                // nothing later here can make the slate.
-                                break;
-                            }
-                            slots.pop();
+    /// Searches every shard at `k` and merges the answers (ordered by
+    /// ascending shard) into one flat global k-best buffer, returned with
+    /// its entries per query: `min(k, surviving rows)`, the same for
+    /// every query and never 0 (at least one shard survives, or the
+    /// search failed). Equal scores insert after their peers and shards
+    /// contribute in ascending-offset order (each shard list already
+    /// score-descending / local-row-ascending), so every slate carries the
+    /// global highest-score / lowest-row tie-break exactly — bit-identical
+    /// to the unsharded top-k. Degraded shards contribute nothing: the
+    /// slates are exact over the surviving rows. Indexing `hits(q)` cannot
+    /// panic: every present answer was length-checked against the batch
+    /// by `check_answer_len`.
+    fn search(&self, batch: &Arc<QueryBatch>, k: usize) -> Result<(Vec<Winner>, usize)> {
+        check_topk(k)?;
+        if batch.dim() != self.dim {
+            return Err(ServeError::DimensionMismatch { expected: self.dim, found: batch.dim() });
+        }
+        let per_shard = self.per_shard_answers(batch, k)?;
+        let survivors: Vec<(usize, TopK)> = self
+            .shards
+            .iter()
+            .zip(per_shard)
+            .filter_map(|(shard, answer)| Some((shard.offset, answer?)))
+            .collect();
+        let per_query = k.min(survivors.iter().map(|(_, t)| t.hits_per_query()).sum());
+        let mut flat = vec![Winner { row: 0, class: 0, score: 0 }; batch.len() * per_query];
+        for (q, slate) in flat.chunks_exact_mut(per_query).enumerate() {
+            let mut filled = 0;
+            for (offset, topk) in &survivors {
+                for &(local_row, score) in topk.hits(q) {
+                    if filled == per_query {
+                        if score <= slate[per_query - 1].score {
+                            // Shard lists are score-descending: nothing
+                            // later here can make the slate.
+                            break;
                         }
-                        let pos = slots.partition_point(|&(_, s)| s >= score);
-                        slots.insert(pos, (shard.offset + local_row, score));
+                        filled -= 1;
                     }
+                    let pos = slate[..filled].partition_point(|w| w.score >= score);
+                    slate.copy_within(pos..filled, pos + 1);
+                    let row = offset + local_row;
+                    slate[pos] = Winner { row, class: self.classes[row], score };
+                    filled += 1;
                 }
-                slots
-                    .into_iter()
-                    .map(|(row, score)| Winner { row, class: self.classes[row], score })
-                    .collect()
-            })
-            .collect()
+            }
+        }
+        Ok((flat, per_query))
     }
 }
 
@@ -715,40 +618,13 @@ impl Searchable for ShardedSearcher {
     }
 
     fn search_winners(&self, batch: Arc<QueryBatch>) -> Result<Vec<Winner>> {
-        if batch.dim() != self.dim {
-            return Err(ServeError::DimensionMismatch { expected: self.dim, found: batch.dim() });
-        }
-        let queries = batch.len();
-        let per_shard: Vec<ShardWinners> = self
-            .per_shard_answers(&batch, ShardTask::Winners)?
-            .into_iter()
-            .map(|a| {
-                a.map(|a| match a {
-                    ShardAnswer::Winners(w) => w,
-                    ShardAnswer::TopK(_) => unreachable!("winners task answered with top-k"),
-                })
-            })
-            .collect();
-        Ok(self.merge(per_shard, queries))
+        // At k = 1 the flat buffer holds exactly one winner per query.
+        Ok(self.search(&batch, 1)?.0)
     }
 
     fn search_topk(&self, batch: Arc<QueryBatch>, k: usize) -> Result<Vec<Vec<Winner>>> {
-        check_topk(k)?;
-        if batch.dim() != self.dim {
-            return Err(ServeError::DimensionMismatch { expected: self.dim, found: batch.dim() });
-        }
-        let queries = batch.len();
-        let per_shard: Vec<ShardTopKLists> = self
-            .per_shard_answers(&batch, ShardTask::TopK(k))?
-            .into_iter()
-            .map(|a| {
-                a.map(|a| match a {
-                    ShardAnswer::TopK(lists) => lists,
-                    ShardAnswer::Winners(_) => unreachable!("top-k task answered with winners"),
-                })
-            })
-            .collect();
-        Ok(self.merge_topk(per_shard, queries, k))
+        let (flat, per_query) = self.search(&batch, k)?;
+        Ok(flat.chunks_exact(per_query).map(<[Winner]>::to_vec).collect())
     }
 
     fn missing_shards(&self) -> Vec<usize> {
@@ -950,27 +826,16 @@ mod tests {
         let batch = random_batch(24, 256, 15);
         let reference = memory.winners_batch(&batch).unwrap();
         for shards in [1usize, 3] {
-            let sharded = ShardedSearcher::with_cascade_tuned(
-                memory.clone(),
-                classes.clone(),
-                shards,
-                &batch,
-            )
-            .unwrap();
+            let plan = CascadePlan::tuned(&memory, &batch).unwrap();
+            let sharded =
+                ShardedSearcher::with_cascade(memory.clone(), classes.clone(), shards, plan)
+                    .unwrap();
             assert!(sharded.cascade_plan().is_some(), "tuned plan is installed");
             let winners = sharded.search_winners(Arc::clone(&batch)).unwrap();
             for (q, w) in winners.iter().enumerate() {
                 assert_eq!((w.row, w.score), reference[q], "shards {shards}, query {q}");
             }
         }
-        // Empty / off-dimension samples are configuration errors.
-        let empty = QueryBatch::from_matrix(hd_linalg::BitMatrix::zeros(0, 256));
-        assert!(matches!(
-            ShardedSearcher::with_cascade_tuned(memory.clone(), classes.clone(), 1, &empty),
-            Err(ServeError::InvalidConfig { .. })
-        ));
-        let wrong = random_batch(2, 64, 16);
-        assert!(ShardedSearcher::with_cascade_tuned(memory, classes, 2, &wrong).is_err());
     }
 
     #[test]

@@ -249,8 +249,8 @@ proptest::proptest! {
     /// The retry ledger's exactly-once-observable contract, under
     /// arbitrary interleavings of submissions, responses, duplicate
     /// responses, overload rejections, GOAWAYs, and disconnects:
-    /// a delivered id is never resubmitted (enforced by panic inside
-    /// `record_submission`), never delivered twice, and the workload
+    /// a delivered id is never resubmitted (`record_submission` rejects
+    /// it), never delivered twice, and the workload
     /// still completes once a connection behaves.
     #[test]
     fn retry_ledger_is_exactly_once_under_arbitrary_disconnects(
@@ -265,7 +265,7 @@ proptest::proptest! {
         let submit_pending =
             |ledger: &mut RetryLedger, next: &mut u64, live: &mut Vec<u64>| {
                 for ext in ledger.pending() {
-                    ledger.record_submission(*next, &[ext]);
+                    ledger.record_submission(*next, &[ext]).unwrap();
                     live.push(*next);
                     *next += 1;
                 }
